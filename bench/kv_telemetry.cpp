@@ -46,18 +46,20 @@ using server::SimServiceReport;
 constexpr Nanos kDiurnalPeriod = 200 * kNanosPerMilli;
 
 // Mean throughput (ops per ns, wall or virtual) of a cumulative-counter
-// series inside the diurnal trough and peak windows. Each inter-tick delta
-// is attributed to the phase of its midpoint; the windows are the ±12.5%
-// of the period around the trough (phase 0) and the peak (phase 0.5) —
-// wide enough to absorb the real path's start-to-release offset, narrow
-// enough that the 3.2x offered swing cannot average away.
+// series inside the diurnal trough and peak windows. `origin` is the series
+// time of phase 0 (the arrivals' offset 0); each inter-tick delta is
+// attributed to the phase of its midpoint, and ticks before the origin
+// belong to no phase. The windows are the ±12.5% of the period around the
+// trough (phase 0) and the peak (phase 0.5) — narrow enough that the 3.2x
+// offered swing cannot average away.
 struct DiurnalRates {
   double trough = 0.0;  // ops/ns
   double peak = 0.0;
   bool valid = false;  // both windows saw at least one whole tick
 };
 
-DiurnalRates diurnal_window_rates(const TimeSeries* completed, Nanos period) {
+DiurnalRates diurnal_window_rates(const TimeSeries* completed, Nanos period,
+                                  std::uint64_t origin) {
   DiurnalRates rates;
   if (completed == nullptr || period <= 0 || completed->size() < 2) {
     return rates;
@@ -67,8 +69,9 @@ DiurnalRates diurnal_window_rates(const TimeSeries* completed, Nanos period) {
   double trough_ops = 0.0, trough_ns = 0.0, peak_ops = 0.0, peak_ns = 0.0;
   for (std::size_t i = 1; i < pts.size(); ++i) {
     const std::uint64_t t0 = pts[i - 1].t, t1 = pts[i].t;
-    if (t1 <= t0 || pts[i].v < pts[i - 1].v) continue;
-    const double phase = static_cast<double>(((t0 + t1) / 2) % p) /
+    const std::uint64_t mid = (t0 + t1) / 2;
+    if (t1 <= t0 || pts[i].v < pts[i - 1].v || mid < origin) continue;
+    const double phase = static_cast<double>((mid - origin) % p) /
                          static_cast<double>(p);
     const double ops = static_cast<double>(pts[i].v - pts[i - 1].v);
     const double ns = static_cast<double>(t1 - t0);
@@ -215,10 +218,16 @@ void run_kv_telemetry(ScenarioContext& ctx) {
   // class's completion rate inside the peak windows clearly above the
   // trough windows. The offered swing is ~3.2x; asserting 1.5x keeps the
   // check CI-safe while still failing a sampler that smears or misorders
-  // its ticks.
+  // its ticks. The series axis starts at service.start(); the arrivals'
+  // phase starts at the generator release, which trace generation and
+  // thread spawn put a sizeable fraction of a scaled period later.
+  const std::uint64_t origin = static_cast<std::uint64_t>(
+      load.released_at - service.telemetry_epoch_ns());
+  ctx.note("generator release at +" + std::to_string(origin / kNanosPerMicro) +
+           " us on the series axis");
   const DiurnalRates rates = diurnal_window_rates(
       telem->log().find("class." + sc.service.classes[0].name + ".completed"),
-      period);
+      period, origin);
   ctx.shape_check(rates.valid, "trough and peak windows both sampled");
   if (rates.valid) {
     ctx.note("trough " + Table::fmt_ops(rates.trough * 1e9) +
@@ -313,7 +322,7 @@ void run_sim_kv_telemetry(ScenarioContext& ctx) {
   const DiurnalRates rates = diurnal_window_rates(
       report.telemetry.find("class." + sc.service.classes[0].name +
                             ".completed"),
-      period);
+      period, 0);
   ctx.shape_check(rates.valid, "trough and peak windows both sampled");
   if (rates.valid) {
     ctx.note("trough " + Table::fmt_ops(rates.trough * 1e9) +

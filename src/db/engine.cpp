@@ -114,8 +114,8 @@ using EngineFactory = std::unique_ptr<KvEngine> (*)();
 // calibrated per-op cost classes (DESIGN.md §7): big-core NOP counts from
 // the engine_calib harness on the reference host, rounded and checked in so
 // twin runs are byte-deterministic everywhere. Shapes they encode:
-//   * hash — O(1) slot-chain ops; symmetric get/put (this symmetry is what
-//     *hides* write amplification on a hash shard);
+//   * hash — O(1) ops (stripe lock + bucket probe); symmetric get/put
+//     (this symmetry is what *hides* write amplification on a hash shard);
 //   * btree — depth-proportional traversals under the global lock; puts pay
 //     extra for splits;
 //   * lsm — gets snapshot briefly under the meta lock and read off-lock

@@ -32,6 +32,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace asl::db {
@@ -146,5 +147,29 @@ std::string kv_engine_error(std::string_view name);
 // pinned so the twin's virtual time never depends on the build machine).
 // Returns an empty profile for unknown names.
 CostProfile default_cost_profile(std::string_view name);
+
+// The prefill order every engine is loaded in (KvService's constructor,
+// engine_calib): visits each key in [0, n) exactly once, each range's
+// midpoint before its halves, so the first key is n / 2. Engines with
+// comparison-ordered internals that never rebalance — the mvcc
+// path-copying BST — come up with logarithmic depth, where the ascending
+// 0..n-1 order would build a degenerate n-deep chain: every mvcc get would
+// then traverse O(n) nodes and every put would path-copy O(n) pool nodes,
+// both a latency cliff and a steady drain on the node freelist
+// (DESIGN.md §9). Hash/btree/lsm are insensitive to the order; the key set
+// is identical either way.
+template <typename Visit>
+void for_each_median_first(std::uint64_t n, Visit&& visit) {
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> ranges;  // [lo, hi)
+  if (n > 0) ranges.emplace_back(0, n);
+  while (!ranges.empty()) {
+    const auto [lo, hi] = ranges.back();
+    ranges.pop_back();
+    const std::uint64_t mid = lo + (hi - lo) / 2;
+    visit(mid);
+    if (mid > lo) ranges.emplace_back(lo, mid);
+    if (mid + 1 < hi) ranges.emplace_back(mid + 1, hi);
+  }
+}
 
 }  // namespace asl::db

@@ -1,14 +1,25 @@
 #include "db/hashkv.h"
 
+#include <bit>
+
 #include "platform/spin.h"
 
 namespace asl::db {
 
+namespace {
+
+// Buckets per stripe at construction; the index doubles from here.
+constexpr std::size_t kMinIndexBuckets = 8;
+
+}  // namespace
+
 HashKv::HashKv(std::size_t num_slots)
-    : slots_(num_slots == 0 ? 1 : num_slots) {}
+    : slots_(num_slots == 0 ? 1 : num_slots) {
+  for (Slot& slot : slots_) slot.index.assign(kMinIndexBuckets, 0);
+}
 
 std::uint64_t HashKv::hash_key(std::string_view key) {
-  // FNV-1a: cheap and uniform enough for bucket selection.
+  // FNV-1a: cheap and uniform enough for stripe and bucket selection.
   std::uint64_t h = 0xCBF29CE484222325ULL;
   for (unsigned char c : key) {
     h ^= c;
@@ -17,11 +28,53 @@ std::uint64_t HashKv::hash_key(std::string_view key) {
   return h;
 }
 
-HashKv::Slot& HashKv::slot_for(std::string_view key) {
-  return slots_[hash_key(key) % slots_.size()];
+std::size_t HashKv::home_of(const Slot& slot, std::uint64_t h) const {
+  // The stripe consumed h % num_slots; the home bucket comes from the
+  // quotient, Fibonacci-hashed: the product's top bits depend on every bit
+  // of it, whereas FNV-1a's low k bits see only the low k bits of each key
+  // byte and would cluster if masked directly.
+  const std::uint64_t above = h / slots_.size();
+  const int bits = std::countr_zero(slot.index.size());
+  return static_cast<std::size_t>((above * 0x9E3779B97F4A7C15ULL) >>
+                                  (64 - bits));
 }
-const HashKv::Slot& HashKv::slot_for(std::string_view key) const {
-  return slots_[hash_key(key) % slots_.size()];
+
+std::size_t HashKv::find_bucket(const Slot& slot, std::string_view key,
+                                std::uint64_t h) const {
+  // Load stays <= 50%, so every probe ends at an empty bucket.
+  const std::size_t mask = slot.index.size() - 1;
+  for (std::size_t b = home_of(slot, h);; b = (b + 1) & mask) {
+    const std::uint32_t e = slot.index[b];
+    if (e == 0 || slot.chain[e - 1].key == key) return b;
+  }
+}
+
+void HashKv::grow_index(Slot& slot) {
+  slot.index.assign(slot.index.size() * 2, 0);
+  const std::size_t mask = slot.index.size() - 1;
+  for (std::size_t i = 0; i < slot.chain.size(); ++i) {
+    std::size_t b = home_of(slot, hash_key(slot.chain[i].key));
+    while (slot.index[b] != 0) b = (b + 1) & mask;
+    slot.index[b] = static_cast<std::uint32_t>(i + 1);
+  }
+}
+
+void HashKv::erase_bucket(Slot& slot, std::size_t bucket) {
+  // Backward shift: walk the cluster after the hole and pull back every
+  // entry whose probe path crosses the hole — the hole lies cyclically in
+  // [home, b) — so lookups never need a tombstone to keep probing.
+  const std::size_t mask = slot.index.size() - 1;
+  std::size_t hole = bucket;
+  for (std::size_t b = (hole + 1) & mask; slot.index[b] != 0;
+       b = (b + 1) & mask) {
+    const std::size_t home =
+        home_of(slot, hash_key(slot.chain[slot.index[b] - 1].key));
+    if (((b - home) & mask) >= ((b - hole) & mask)) {
+      slot.index[hole] = slot.index[b];
+      hole = b;
+    }
+  }
+  slot.index[hole] = 0;
 }
 
 void HashKv::method_enter_shared() const {
@@ -36,22 +89,23 @@ void HashKv::method_exit_shared() const {
 
 bool HashKv::put(std::string_view key, std::string_view value) {
   method_enter_shared();
-  Slot& slot = slot_for(key);
+  const std::uint64_t h = hash_key(key);
+  Slot& slot = slot_for(h);
   bool inserted = false;
   {
     LockGuard<AslMutex<McsLock>> guard(slot.lock);
-    bool found = false;
-    for (Entry& e : slot.chain) {
-      if (e.key == key) {
-        // assign() reuses the entry's capacity: an overwrite of a key whose
-        // value is not growing never allocates (the steady-state contract).
-        e.value.assign(value);
-        found = true;
-        break;
+    std::size_t b = find_bucket(slot, key, h);
+    if (slot.index[b] != 0) {
+      // assign() reuses the entry's capacity: an overwrite of a key whose
+      // value is not growing never allocates (the steady-state contract).
+      slot.chain[slot.index[b] - 1].value.assign(value);
+    } else {
+      if (2 * (slot.chain.size() + 1) > slot.index.size()) {
+        grow_index(slot);
+        b = find_bucket(slot, key, h);
       }
-    }
-    if (!found) {
       slot.chain.push_back(Entry{std::string(key), std::string(value)});
+      slot.index[b] = static_cast<std::uint32_t>(slot.chain.size());
       inserted = true;
     }
   }
@@ -65,16 +119,13 @@ bool HashKv::put(std::string_view key, std::string_view value) {
 
 std::optional<std::string> HashKv::get(std::string_view key) const {
   method_enter_shared();
-  const Slot& slot = slot_for(key);
+  const std::uint64_t h = hash_key(key);
+  const Slot& slot = slot_for(h);
   std::optional<std::string> result;
   {
     LockGuard<AslMutex<McsLock>> guard(slot.lock);
-    for (const Entry& e : slot.chain) {
-      if (e.key == key) {
-        result = e.value;
-        break;
-      }
-    }
+    const std::uint32_t e = slot.index[find_bucket(slot, key, h)];
+    if (e != 0) result = slot.chain[e - 1].value;
   }
   method_exit_shared();
   return result;
@@ -82,17 +133,24 @@ std::optional<std::string> HashKv::get(std::string_view key) const {
 
 bool HashKv::remove(std::string_view key) {
   method_enter_shared();
-  Slot& slot = slot_for(key);
+  const std::uint64_t h = hash_key(key);
+  Slot& slot = slot_for(h);
   bool removed = false;
   {
     LockGuard<AslMutex<McsLock>> guard(slot.lock);
-    for (std::size_t i = 0; i < slot.chain.size(); ++i) {
-      if (slot.chain[i].key == key) {
-        slot.chain[i] = std::move(slot.chain.back());
-        slot.chain.pop_back();
-        removed = true;
-        break;
+    const std::size_t b = find_bucket(slot, key, h);
+    if (slot.index[b] != 0) {
+      const std::uint32_t pos = slot.index[b] - 1;
+      erase_bucket(slot, b);
+      Entry& last = slot.chain.back();
+      if (pos + 1 != slot.chain.size()) {
+        // Swap-remove: the chain's last entry fills the hole, so its
+        // bucket is repointed before the move.
+        slot.index[find_bucket(slot, last.key, hash_key(last.key))] = pos + 1;
+        slot.chain[pos] = std::move(last);
       }
+      slot.chain.pop_back();
+      removed = true;
     }
   }
   if (removed) {
@@ -101,6 +159,22 @@ bool HashKv::remove(std::string_view key) {
   }
   method_exit_shared();
   return removed;
+}
+
+std::optional<std::size_t> HashKv::probe_distance(std::string_view key) const {
+  method_enter_shared();
+  const std::uint64_t h = hash_key(key);
+  const Slot& slot = slot_for(h);
+  std::optional<std::size_t> distance;
+  {
+    LockGuard<AslMutex<McsLock>> guard(slot.lock);
+    const std::size_t b = find_bucket(slot, key, h);
+    if (slot.index[b] != 0) {
+      distance = (b - home_of(slot, h)) & (slot.index.size() - 1);
+    }
+  }
+  method_exit_shared();
+  return distance;
 }
 
 std::size_t HashKv::size() const {

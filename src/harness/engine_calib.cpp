@@ -1,5 +1,6 @@
 #include "harness/engine_calib.h"
 
+#include <algorithm>
 #include <memory>
 
 #include "platform/rng.h"
@@ -50,9 +51,10 @@ EngineCalibResult calibrate_engine(const std::string& engine,
 
   const std::uint64_t key_space =
       config.key_space == 0 ? 1 : config.key_space;
-  for (std::uint64_t k = 0; k < config.prefill_keys; ++k) {
-    kv->put(k % key_space, "prefill");
-  }
+  // The service's prefill order, so the timed engine has the shape it has
+  // under KvService (ascending keys would time a degenerate mvcc tree).
+  db::for_each_median_first(std::min(config.prefill_keys, key_space),
+                            [&kv](std::uint64_t k) { kv->put(k, "prefill"); });
 
   result.nop_ns = measure_nop_ns();
   // Keys and values are drawn/built outside the timed loops so the

@@ -37,8 +37,12 @@ class RwLock {
       while (writer_pending_.load(std::memory_order_acquire)) {
         waiter.pause();
       }
-      readers_.fetch_add(1, std::memory_order_acquire);
-      if (!writer_pending_.load(std::memory_order_acquire)) {
+      // seq_cst on both sides of the handshake (here and in lock()): each
+      // side stores its own flag, then loads the other's. Acquire/release
+      // allows that store-load pair to reorder (x86's store buffer does),
+      // letting a reader and a writer each miss the other and both enter.
+      readers_.fetch_add(1, std::memory_order_seq_cst);
+      if (!writer_pending_.load(std::memory_order_seq_cst)) {
         return;
       }
       // A writer announced intent between our check and increment: back out
@@ -51,8 +55,8 @@ class RwLock {
 
   bool try_lock_shared() {
     if (writer_pending_.load(std::memory_order_acquire)) return false;
-    readers_.fetch_add(1, std::memory_order_acquire);
-    if (writer_pending_.load(std::memory_order_acquire)) {
+    readers_.fetch_add(1, std::memory_order_seq_cst);
+    if (writer_pending_.load(std::memory_order_seq_cst)) {
       readers_.fetch_sub(1, std::memory_order_release);
       return false;
     }
@@ -61,17 +65,17 @@ class RwLock {
 
   void lock() {
     writer_lock_.lock();  // LibASL ordering among writers
-    writer_pending_.store(true, std::memory_order_release);
+    writer_pending_.store(true, std::memory_order_seq_cst);
     SpinWait waiter;
-    while (readers_.load(std::memory_order_acquire) != 0) {
+    while (readers_.load(std::memory_order_seq_cst) != 0) {
       waiter.pause();
     }
   }
 
   bool try_lock() {
     if (!writer_lock_.try_lock()) return false;
-    writer_pending_.store(true, std::memory_order_release);
-    if (readers_.load(std::memory_order_acquire) != 0) {
+    writer_pending_.store(true, std::memory_order_seq_cst);
+    if (readers_.load(std::memory_order_seq_cst) != 0) {
       writer_pending_.store(false, std::memory_order_release);
       writer_lock_.unlock();
       return false;

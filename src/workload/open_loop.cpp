@@ -108,6 +108,7 @@ OpenLoopResult run_open_loop(KvService& service,
   result.accepted = accepted.load(std::memory_order_relaxed);
   result.rejected = rejected.load(std::memory_order_relaxed);
   result.elapsed = now_ns() - start;
+  result.released_at = start;
   return result;
 }
 

@@ -84,6 +84,12 @@ struct OpenLoopResult {
   std::uint64_t accepted = 0;  // admitted by the service
   std::uint64_t rejected = 0;  // bounced by queue backpressure
   Nanos elapsed = 0;           // wall clock, release -> last submission
+  // now_ns() at the generators' release: the wall instant of schedule
+  // offset 0, i.e. the origin of every arrival process's phase (a diurnal
+  // trough). Later than service.start() by trace generation and thread
+  // spawn, so phase-aware readers of the service's telemetry axis must
+  // count from here, not from the service's start.
+  Nanos released_at = 0;
 
   double offered_rate_per_sec() const {
     return elapsed == 0 ? 0.0

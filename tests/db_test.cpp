@@ -2,7 +2,10 @@
 // isolation, SQLite state-machine legality.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
+#include <map>
 #include <set>
 #include <string>
 #include <thread>
@@ -76,6 +79,42 @@ TEST(HashKv, ConcurrentMixedOps) {
   });
 }
 
+TEST(HashKv, ConcurrentIndexGrowthKeepsEveryStripeConsistent) {
+  // Each thread inserts its own keys, so every stripe's index doubles
+  // several times while the other threads probe and remove in the same
+  // and other stripes; each thread's own view must stay exact throughout.
+  HashKv kv(16);
+  constexpr int kThreads = 4;
+  constexpr std::uint64_t kKeys = 5000;
+  auto key = [](int t, std::uint64_t i) {
+    return "t" + std::to_string(t) + ":" + std::to_string(i);
+  };
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (std::uint64_t i = 0; i < kKeys; ++i) {
+        EXPECT_TRUE(kv.put(key(t, i), val_of(i)));
+        if (i % 7 == 0) {
+          EXPECT_TRUE(kv.remove(key(t, i)));
+        }
+        const std::uint64_t back = i / 2;
+        EXPECT_EQ(kv.get(key(t, back)).has_value(), back % 7 != 0) << back;
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  std::size_t seen = 0;
+  kv.for_each([&](const std::string& k, const std::string& v) {
+    const std::uint64_t i = std::stoull(k.substr(k.find(':') + 1));
+    EXPECT_NE(i % 7, 0u) << k;
+    EXPECT_EQ(v, val_of(i)) << k;
+    ++seen;
+  });
+  const std::size_t per_thread = kKeys - (kKeys + 6) / 7;
+  EXPECT_EQ(seen, kThreads * per_thread);
+  EXPECT_EQ(kv.size(), kThreads * per_thread);
+}
+
 TEST(HashKv, ConcurrentForEachDoesNotDeadlock) {
   HashKv kv(8);
   for (std::uint64_t i = 0; i < 32; ++i) kv.put(key_of(i), val_of(i));
@@ -91,6 +130,172 @@ TEST(HashKv, ConcurrentForEachDoesNotDeadlock) {
   }
   stop.store(true);
   writer.join();
+}
+
+// ------------------------------------------------- HashKv bucket index
+// Reference-model check of the per-stripe bucket index against std::map.
+using Model = std::map<std::string, std::string>;
+
+void expect_contents(const HashKv& kv, const Model& model) {
+  std::vector<std::pair<std::string, std::string>> seen;
+  seen.reserve(model.size());
+  kv.for_each([&](const std::string& k, const std::string& v) {
+    seen.emplace_back(k, v);
+  });
+  std::sort(seen.begin(), seen.end());
+  ASSERT_EQ(seen.size(), model.size());
+  ASSERT_TRUE(std::equal(
+      seen.begin(), seen.end(), model.begin(),
+      [](const auto& a, const auto& b) {
+        return a.first == b.first && a.second == b.second;
+      }));
+}
+
+// One seeded op on a key drawn from [0, universe): put (new key or an
+// overwrite whose value length crosses the SSO boundary both ways), remove
+// or get, mirrored on the model; size() is checked after every op.
+void model_step(HashKv& kv, Model& model, Rng& rng, std::uint64_t universe,
+                std::uint64_t put_pct, std::uint64_t remove_pct) {
+  const std::string key = key_of(rng.below(universe));
+  const std::uint64_t dice = rng.below(100);
+  if (dice < put_pct) {
+    const std::string value =
+        std::string(rng.below(24), 'v') + std::to_string(rng.below(1000));
+    const bool fresh = model.insert_or_assign(key, value).second;
+    ASSERT_EQ(kv.put(key, value), fresh) << key;
+  } else if (dice < put_pct + remove_pct) {
+    ASSERT_EQ(kv.remove(key), model.erase(key) == 1) << key;
+  } else {
+    const auto it = model.find(key);
+    const std::optional<std::string> got = kv.get(key);
+    ASSERT_EQ(got.has_value(), it != model.end()) << key;
+    if (got) {
+      ASSERT_EQ(*got, it->second) << key;
+    }
+  }
+  ASSERT_EQ(kv.size(), model.size());
+}
+
+// Grows the store past `live_target` keys (put-heavy), churns it with a
+// balanced mix, then drains every key in random order — the drain removes
+// displaced entries and chain tails alike. for_each's whole contents are
+// compared every `contents_every` steps (a comparison is O(n)) and at
+// every phase end.
+void run_model(std::size_t stripes, std::uint64_t universe,
+               std::uint64_t live_target, std::uint64_t churn_steps,
+               std::uint64_t contents_every, std::uint64_t seed) {
+  HashKv kv(stripes);
+  Model model;
+  Rng rng(seed);
+  std::uint64_t step = 0;
+  auto maybe_check_contents = [&] {
+    if (++step % contents_every == 0) expect_contents(kv, model);
+  };
+  while (model.size() < live_target) {
+    ASSERT_NO_FATAL_FAILURE(model_step(kv, model, rng, universe, 75, 10));
+    ASSERT_NO_FATAL_FAILURE(maybe_check_contents());
+  }
+  ASSERT_NO_FATAL_FAILURE(expect_contents(kv, model));
+  for (std::uint64_t i = 0; i < churn_steps; ++i) {
+    ASSERT_NO_FATAL_FAILURE(model_step(kv, model, rng, universe, 40, 40));
+    ASSERT_NO_FATAL_FAILURE(maybe_check_contents());
+  }
+  ASSERT_NO_FATAL_FAILURE(expect_contents(kv, model));
+  std::vector<std::string> keys;
+  for (const auto& [k, v] : model) keys.push_back(k);
+  for (std::size_t i = keys.size(); i > 1; --i) {
+    std::swap(keys[i - 1], keys[rng.below(i)]);
+  }
+  for (const std::string& k : keys) {
+    ASSERT_TRUE(kv.remove(k)) << k;
+    model.erase(k);
+    ASSERT_FALSE(kv.get(k).has_value()) << k;
+    ASSERT_EQ(kv.size(), model.size());
+    ASSERT_NO_FATAL_FAILURE(maybe_check_contents());
+  }
+  ASSERT_NO_FATAL_FAILURE(expect_contents(kv, model));
+}
+
+TEST(HashKvModel, SmallUniverseContentsAfterEveryStep) {
+  for (std::size_t stripes : {1u, 16u}) {
+    SCOPED_TRACE(stripes);
+    ASSERT_NO_FATAL_FAILURE(run_model(stripes, 256, 150, 4'000, 1, 11));
+  }
+}
+
+TEST(HashKvModel, HundredThousandKeysGrowEveryStripe) {
+  // 100k live keys: a single stripe's index doubles from 8 to 256 Ki
+  // buckets, each of 16 stripes' to 16 Ki.
+  for (std::size_t stripes : {1u, 16u}) {
+    SCOPED_TRACE(stripes);
+    ASSERT_NO_FATAL_FAILURE(
+        run_model(stripes, 200'000, 100'000, 20'000, 16'384, 12));
+  }
+}
+
+TEST(HashKvModel, RemovingDisplacedEntriesShiftsClustersBack) {
+  HashKv kv(1);
+  std::vector<std::uint64_t> live;
+  for (std::uint64_t i = 0; i < 1000; ++i) {
+    kv.put(key_of(i), val_of(i));
+    live.push_back(i);
+  }
+  auto total_displacement = [&] {
+    std::size_t total = 0;
+    for (std::uint64_t i : live) total += kv.probe_distance(key_of(i)).value();
+    return total;
+  };
+  // Remove displaced entries until none is left: each removal must leave
+  // every other key reachable (no tombstone, no lost cluster member).
+  int displaced_removed = 0, shifted = 0;
+  for (;;) {
+    const auto victim = std::find_if(live.begin(), live.end(), [&](auto i) {
+      return kv.probe_distance(key_of(i)).value() > 0;
+    });
+    if (victim == live.end()) break;
+    const std::uint64_t key = *victim;
+    const std::size_t distance = kv.probe_distance(key_of(key)).value();
+    const std::size_t before = total_displacement();
+    ASSERT_TRUE(kv.remove(key_of(key)));
+    live.erase(victim);
+    ++displaced_removed;
+    // Backward shift only ever moves entries closer to home; a strict drop
+    // beyond the victim's own distance means a later entry was pulled back.
+    const std::size_t after = total_displacement();
+    ASSERT_LE(after, before - distance);
+    if (after < before - distance) ++shifted;
+    ASSERT_FALSE(kv.probe_distance(key_of(key)).has_value());
+    for (std::uint64_t i : live) {
+      ASSERT_EQ(kv.get(key_of(i)).value_or(""), val_of(i)) << i;
+    }
+  }
+  // ~1000 keys at <= 50% load leave a couple of hundred displaced.
+  EXPECT_GT(displaced_removed, 50);
+  EXPECT_GT(shifted, 0);
+  EXPECT_EQ(kv.size(), live.size());
+}
+
+TEST(HashKvModel, RemovingTheLastChainEntryKeepsTheRestReachable) {
+  // One stripe and no removals yet: the chain holds keys in insertion
+  // order, so the newest key is the chain's last entry (no swap needed).
+  HashKv kv(1);
+  for (std::uint64_t i = 0; i < 64; ++i) kv.put(key_of(i), val_of(i));
+  for (std::uint64_t last = 63; last >= 32; --last) {
+    ASSERT_TRUE(kv.remove(key_of(last)));
+    ASSERT_EQ(kv.size(), last);
+    for (std::uint64_t i = 0; i < last; ++i) {
+      ASSERT_EQ(kv.get(key_of(i)).value_or(""), val_of(i)) << i;
+    }
+  }
+  // A fresh insert lands last again; removing it restores the old state,
+  // and removing an early key then moves the current tail into its place.
+  EXPECT_TRUE(kv.put("fresh", "x"));
+  EXPECT_TRUE(kv.remove("fresh"));
+  EXPECT_TRUE(kv.remove(key_of(0)));
+  for (std::uint64_t i = 1; i < 32; ++i) {
+    ASSERT_EQ(kv.get(key_of(i)).value_or(""), val_of(i)) << i;
+  }
+  EXPECT_EQ(kv.size(), 31u);
 }
 
 // --------------------------------------------------------------- BtreeKv
@@ -562,6 +767,43 @@ TEST(MvKv, ReclaimerFreesRetiredVersionsUnderChurn) {
   EXPECT_LE(kv.reclaimer().retired_backlog(),
             kv.reclaimer().backlog_bound() + kv.reclaimer().batch())
       << "backlog must stay within one in-flight batch of the bound";
+}
+
+// ------------------------------------------------------ prefill order
+TEST(MedianFirstOrder, VisitsEveryKeyOnceMedianFirst) {
+  for (std::uint64_t n : {0u, 1u, 2u, 3u, 7u, 8u, 1000u, 4096u}) {
+    SCOPED_TRACE(n);
+    std::vector<int> visits(n, 0);
+    std::vector<std::uint64_t> order;
+    for_each_median_first(n, [&](std::uint64_t k) {
+      ASSERT_LT(k, n);
+      ++visits[k];
+      order.push_back(k);
+    });
+    EXPECT_TRUE(std::all_of(visits.begin(), visits.end(),
+                            [](int v) { return v == 1; }));
+    if (n == 0) continue;
+    EXPECT_EQ(order.front(), n / 2);
+    // The property the order exists for: an unbalanced BST built in this
+    // order has logarithmic depth (ascending order would make it n deep).
+    std::vector<std::uint64_t> left(n, n), right(n, n);
+    std::size_t depth = 1;
+    for (std::size_t i = 1; i < order.size(); ++i) {
+      std::uint64_t node = order[0];
+      std::size_t d = 1;
+      for (;;) {
+        ++d;
+        std::uint64_t& child = order[i] < node ? left[node] : right[node];
+        if (child == n) {
+          child = order[i];
+          break;
+        }
+        node = child;
+      }
+      depth = std::max(depth, d);
+    }
+    EXPECT_LE(depth, static_cast<std::size_t>(std::bit_width(n)));
+  }
 }
 
 // --------------------------------------------------------------- MiniSql
