@@ -1,5 +1,6 @@
 #include "asl/reclaim.h"
 
+#include <algorithm>
 #include <thread>
 
 namespace asl {
@@ -103,6 +104,7 @@ std::size_t EpochReclaimer::sweep_slot(Slot& slot, std::uint64_t current) {
 }
 
 std::size_t EpochReclaimer::sweep() {
+  sweeps_.fetch_add(1, std::memory_order_relaxed);
   const std::uint64_t current = global_epoch_.load(std::memory_order_seq_cst);
   std::size_t freed = 0;
   const std::uint32_t scan = thread_id_high_water();
@@ -117,6 +119,15 @@ void EpochReclaimer::retire(void* p, Deleter del) {
   mark_used(slot);
   const std::uint64_t e = global_epoch_.load(std::memory_order_seq_cst);
   slot.lock.lock();
+  if (slot.retired.size() == slot.retired.capacity()) {
+    // Grow straight to the backlog bound (plus the one in-flight batch of
+    // slack) rather than creeping up to it by doubling: a list that can
+    // hold the bounded backlog never reallocates while the bound holds, so
+    // retire() stays allocation-free once warm (DESIGN.md §9).
+    const std::size_t bounded =
+        static_cast<std::size_t>(backlog_bound() + config_.batch);
+    slot.retired.reserve(std::max(2 * slot.retired.capacity(), bounded));
+  }
   slot.retired.push_back(Retired{p, del, e});
   slot.lock.unlock();
   backlog_.fetch_add(1, std::memory_order_acq_rel);

@@ -130,6 +130,11 @@ class EpochReclaimer {
   std::uint64_t freed_count() const {
     return freed_.load(std::memory_order_acquire);
   }
+  // sweep() calls so far (retire()'s own sweeps included) — the count a
+  // writer stalled behind a pinned reader would run up.
+  std::uint64_t sweep_count() const {
+    return sweeps_.load(std::memory_order_relaxed);
+  }
   // Threads that ever pinned or retired in this domain.
   std::uint32_t participants() const {
     return participants_.load(std::memory_order_acquire);
@@ -176,6 +181,7 @@ class EpochReclaimer {
   std::atomic<std::uint64_t> global_epoch_{2};  // >= 2: epoch 0 is never safe
   std::atomic<std::uint64_t> backlog_{0};
   std::atomic<std::uint64_t> freed_{0};
+  std::atomic<std::uint64_t> sweeps_{0};
   std::atomic<std::uint32_t> participants_{0};
   std::vector<Slot> slots_;  // kMaxThreads entries, index == thread_id()
 };

@@ -1,6 +1,7 @@
 #include "db/mvkv.h"
 
-#include "platform/spin.h"
+#include <algorithm>
+
 
 namespace asl::db {
 
@@ -62,26 +63,26 @@ Node* MvKv::NodePool::try_acquire(std::uint64_t key, std::string_view value,
 }
 
 Node* MvKv::NodePool::acquire(std::uint64_t key, std::string_view value,
-                              const Node* left, const Node* right) {
+                              const Node* left, const Node* right,
+                              std::size_t grow) {
   if (Node* n = try_acquire(key, value, left, right)) return n;
   // Grow by a chunk, not a node: a miss means outstanding nodes (live
-  // tree + reclaimer backlog + in-flight path) hit a new high-water mark,
-  // and the mark is approached stochastically — sweep timing depends on
-  // reader pin interleavings. Overshooting it by a margin makes the next
-  // miss need a mark `kGrowChunk` higher, so the population converges to
-  // its (hard-bounded, see reclaim.h) fixed point in a handful of misses
-  // instead of creeping up one node per miss for millions of requests.
-  Node* spares[kGrowChunk - 1];
-  for (std::size_t i = 0; i + 1 < kGrowChunk; ++i) {
-    spares[i] = new Node{0, std::string(), nullptr, nullptr, this};
-  }
+  // tree + reclaimer backlog + in-flight path) hit a new high-water mark.
+  // The caller sizes `grow` to the backlog (MvKv::fresh_node), so the
+  // headroom at least doubles on every miss and the population converges
+  // in a handful of misses instead of creeping up one chunk at a time.
+  // Both vectors are reserved here too, so release() never reallocates.
+  if (grow < kGrowChunk) grow = kGrowChunk;
   Node* n = new Node{key, std::string(value), left, right, this};
   lock_.lock();
-  for (Node* spare : spares) {
+  all_.reserve(all_.size() + grow);
+  free_.reserve(all_.capacity());
+  all_.push_back(n);
+  for (std::size_t i = 1; i < grow; ++i) {
+    Node* spare = new Node{0, std::string(), nullptr, nullptr, this};
     all_.push_back(spare);
     free_.push_back(spare);
   }
-  all_.push_back(n);
   lock_.unlock();
   return n;
 }
@@ -191,20 +192,28 @@ MvKv::Snapshot::Node* MvKv::fresh_node(std::uint64_t key,
                                        std::string_view value,
                                        const Node* left, const Node* right) {
   if (Node* n = pool_.try_acquire(key, value, left, right)) return n;
-  // Grace-period wait (header comment): the retirees of previous puts are
+  // Grace-period turn (header comment): the retirees of previous puts are
   // the supply this write should draw on; they only need the epoch to turn
-  // over twice. A reader pinned across one try_advance unpins within its
-  // (microsecond) read, so the bounded spin resolves the miss without the
-  // heap in all but pathological schedules.
-  SpinWait waiter;
-  for (int i = 0; i < kReclaimSpinRounds; ++i) {
-    reclaimer_.try_advance();
+  // over twice — kReclaimRounds advances, one sweep after each. A failed
+  // advance means a reader is pinned in an older epoch, and nothing this
+  // writer does frees a node until that reader unpins — which on an
+  // oversubscribed host can be a whole scheduling quantum away. So the
+  // rounds stop there and the pool grows instead of the writer waiting.
+  for (int round = 0; round < kReclaimRounds; ++round) {
+    const bool advanced = reclaimer_.try_advance();
     if (reclaimer_.sweep() > 0) {
       if (Node* n = pool_.try_acquire(key, value, left, right)) return n;
     }
-    waiter.pause();
+    if (!advanced) break;
   }
-  return pool_.acquire(key, value, left, right);
+  // Grow by the backlog the reclaimer is allowed to hold, or by the one it
+  // holds if a stalled reader pushed it past that: headroom for the whole
+  // bounded backlog means no further miss while the bound holds.
+  const std::uint64_t headroom =
+      std::max(reclaimer_.retired_backlog(),
+               reclaimer_.backlog_bound() + reclaimer_.batch());
+  return pool_.acquire(key, value, left, right,
+                       static_cast<std::size_t>(headroom));
 }
 
 void MvKv::maybe_replenish() {

@@ -109,14 +109,15 @@ class MvKv {
   // boundary.
   class NodePool {
    public:
-    // Nodes created per freelist miss (one returned, the rest banked):
-    // over-provisioning past each high-water mark is what lets the pool
-    // reach allocation-free equilibrium within a few warmup misses.
+    // Fewest nodes created per freelist miss (one returned, the rest
+    // banked): over-provisioning past each high-water mark is what lets the
+    // pool reach allocation-free equilibrium within a few warmup misses.
     static constexpr std::size_t kGrowChunk = 32;
 
     ~NodePool();
+    // Freelist pop, or on a miss max(grow, kGrowChunk) fresh nodes.
     Node* acquire(std::uint64_t key, std::string_view value, const Node* left,
-                  const Node* right);
+                  const Node* right, std::size_t grow);
     // Freelist pop alone — nullptr on a miss, never touches the heap (so
     // the caller can try reclamation before conceding an allocation).
     Node* try_acquire(std::uint64_t key, std::string_view value,
@@ -146,13 +147,16 @@ class MvKv {
   static constexpr std::size_t kFreelistLowWater = 64;
   void maybe_replenish();
 
-  // Freelist acquire with a bounded reclaim-wait on a miss. An empty
+  // Freelist acquire with a bounded reclaim attempt on a miss. An empty
   // freelist almost always means the nodes this write needs are retirees
   // still inside their grace period (every put retires a whole path copy),
   // not a genuinely larger working set — so before conceding a (counted)
-  // chunk allocation, spin on advance+sweep: readers unpin in microseconds,
-  // and the heap stays the supplier of last resort against a stuck pin.
-  static constexpr int kReclaimSpinRounds = 256;
+  // chunk allocation, advance+sweep up to kReclaimRounds times (two
+  // advances age every node retired so far past its grace period). The
+  // rounds stop at the first failed advance: a pinned reader blocks every
+  // further turn, so the pool grows — by enough to hold the reclaimer's
+  // whole bounded backlog — rather than the writer stalling on the pin.
+  static constexpr int kReclaimRounds = 2;
   Node* fresh_node(std::uint64_t key, std::string_view value,
                    const Node* left, const Node* right);
 

@@ -12,35 +12,10 @@
 
 namespace asl::server {
 
-db::CostProfile resolved_cost_profile(const KvServiceConfig& config) {
-  // The engine name is validated even when an explicit profile overrides
-  // the registry default: the twin resolves costs without ever
-  // constructing an engine, and a typo'd name must abort there too, not
-  // silently label every table with a nonexistent engine.
-  const db::CostProfile registry_default =
-      db::default_cost_profile(config.engine);
-  if (registry_default.empty()) {
-    std::fprintf(stderr, "KvService: %s\n",
-                 db::kv_engine_error(config.engine).c_str());
-    std::abort();
-  }
-  const db::CostProfile profile =
-      config.cost.empty() ? registry_default : config.cost;
-  return profile.scaled(config.cost_scale);
-}
-
-KvService::KvService(KvServiceConfig config) : config_(std::move(config)) {
-  if (config_.num_shards < 1) config_.num_shards = 1;
-  if (config_.workers_per_shard < 1) config_.workers_per_shard = 1;
-  if (config_.batch_k < 1) config_.batch_k = 1;
-  if (config_.batch_k > kMaxBatch) {
-    config_.batch_k = static_cast<std::uint32_t>(kMaxBatch);
-  }
-  if (config_.classes.empty()) {
-    config_.classes.push_back(RequestClass{"kv-default", 0});
-  }
-  cost_ = resolved_cost_profile(config_);
-
+KvService::KvService(KvServiceConfig config)
+    : config_(normalized_config(std::move(config))),
+      cost_(resolved_cost_profile(config_)),
+      slots_(worker_slots(config_)) {
   shards_.reserve(config_.num_shards);
   for (std::uint32_t s = 0; s < config_.num_shards; ++s) {
     std::unique_ptr<db::KvEngine> engine = db::make_kv_engine(config_.engine);
@@ -55,14 +30,10 @@ KvService::KvService(KvServiceConfig config) : config_(std::move(config)) {
 
   // Register each request class as a named epoch, its controller seeded
   // proportionally to the SLO by the same rule the simulator configs use.
-  // The shed threshold is precomputed against the queue's *clamped*
-  // capacity, so a zero-capacity config sheds at the same depths the queue
-  // actually enforces.
   for (const RequestClass& spec : config_.classes) {
     auto cs = std::make_unique<ClassState>();
     cs->spec = spec;
-    cs->depth_limit =
-        shed_threshold(spec.admission, shards_[0]->queue.capacity());
+    cs->depth_limit = shed_threshold(spec.admission, config_.queue_capacity);
     EpochOptions opts;
     opts.default_slo_ns = spec.slo_ns;
     if (spec.slo_ns > 0) {
@@ -78,30 +49,13 @@ KvService::KvService(KvServiceConfig config) : config_(std::move(config)) {
     shards_[shard_of(key)]->engine->put(key, "prefill");
   });
 
-  // Worker slots: worker w serves shard w % num_shards; the first
-  // big_workers slots are big, the rest little (m1_layout order).
-  const std::uint32_t n = config_.num_shards * config_.workers_per_shard;
-  std::uint32_t num_big = config_.big_workers;
-  if (num_big == ~0u) num_big = (n + 1) / 2;
-  for (std::uint32_t w = 0; w < n; ++w) {
-    WorkerSlot slot;
-    slot.index = w;
-    slot.shard = w % config_.num_shards;
-    slot.type = w < num_big ? CoreType::kBig : CoreType::kLittle;
-    slot.speed =
-        slot.type == CoreType::kBig ? SpeedFactors::big() : SpeedFactors::little();
-    slots_.push_back(slot);
-  }
-
   // Telemetry pipeline (DESIGN.md §11), built and frozen here so nothing on
   // the hot path or in a sampler tick ever allocates. The epoch defaults to
   // the construction instant so a stop()-without-start() final tick still
   // lands on a sane time axis; start() re-stamps it.
   if (config_.telemetry.enabled) {
-    telemetry_ = std::make_unique<KvTelemetry>(config_, n);
-    tick_accepted_.resize(classes_.size());
-    tick_shed_.resize(classes_.size());
-    tick_depth_.resize(shards_.size());
+    telemetry_ = std::make_unique<KvTelemetry>(
+        config_, static_cast<std::uint32_t>(slots_.size()));
     telemetry_start_ns_ = now_ns();
     sampler_ = std::make_unique<obs::Sampler>(
         config_.telemetry.sample_period_ns,
@@ -190,31 +144,11 @@ bool KvService::try_submit(OpType op, std::uint64_t key,
   const PushResult pushed =
       shards_[shard]->queue.try_push_below(req, cs.depth_limit);
   if (TraceRecorder* rec = recorder_.load(std::memory_order_relaxed)) {
-    const TraceDecision decision = pushed == PushResult::kOk
-                                       ? TraceDecision::kAdmit
-                                       : pushed == PushResult::kShed
-                                             ? TraceDecision::kShed
-                                             : TraceDecision::kReject;
     rec->on_arrival(req.enqueue_ns, class_index, op == OpType::kPut, key,
-                    decision, shard);
+                    trace_decision(pushed), shard);
   }
-  switch (pushed) {
-    case PushResult::kOk:
-      cs.accepted.fetch_add(1, std::memory_order_relaxed);
-      return true;
-    case PushResult::kShed:
-      // rejected first, shed second (and report() reads them in the
-      // opposite order): a concurrent snapshot between the two increments
-      // then undercounts shed rather than overcounting it, preserving the
-      // shed <= rejected contract consumers subtract on.
-      cs.rejected.fetch_add(1, std::memory_order_relaxed);
-      cs.shed.fetch_add(1, std::memory_order_relaxed);
-      return false;
-    case PushResult::kFull:
-      cs.rejected.fetch_add(1, std::memory_order_relaxed);
-      return false;
-  }
-  return false;  // unreachable: the switch above is exhaustive
+  count_admission(cs, pushed);
+  return pushed == PushResult::kOk;
 }
 
 void KvService::set_recorder(TraceRecorder* recorder) {
@@ -241,59 +175,47 @@ std::uint32_t KvService::num_workers() const {
 
 LockRouteStats KvService::lock_route_stats() const {
   LockRouteStats s;
-  s.get_route_acquires = get_route_acquires_.load(std::memory_order_relaxed);
-  s.put_route_acquires = put_route_acquires_.load(std::memory_order_relaxed);
-  s.cs_gets = cs_gets_.load(std::memory_order_relaxed);
-  s.lockfree_gets = lockfree_gets_.load(std::memory_order_relaxed);
+  s.get_route_acquires =
+      routes_.get_route_acquires.load(std::memory_order_relaxed);
+  s.put_route_acquires =
+      routes_.put_route_acquires.load(std::memory_order_relaxed);
+  s.cs_gets = routes_.cs_gets.load(std::memory_order_relaxed);
+  s.lockfree_gets = routes_.lockfree_gets.load(std::memory_order_relaxed);
   return s;
 }
 
 ServiceReport KvService::report() const {
   ServiceReport report;
   for (const auto& cs : classes_) {
-    ClassReport c;
-    c.name = cs->spec.name;
-    c.epoch_id = cs->epoch_id;
-    c.slo_ns = cs->spec.slo_ns;
-    c.accepted = cs->accepted.load(std::memory_order_relaxed);
-    // shed before rejected (the mirror of try_submit's increment order),
-    // then clamp: relaxed loads on a racing snapshot may still tear, and
-    // the report-level contract shed <= rejected must hold uncondition-
-    // ally — class_meets_slo computes rejected - shed on unsigned values.
-    c.shed = cs->shed.load(std::memory_order_relaxed);
-    c.rejected = cs->rejected.load(std::memory_order_relaxed);
-    if (c.shed > c.rejected) c.shed = c.rejected;
+    // shed before rejected (the mirror of count_admission's order), so
+    // a racing snapshot undercounts shed; ClassAccount::report clamps the
+    // rest.
+    const std::uint64_t accepted = cs->accepted.load(std::memory_order_relaxed);
+    const std::uint64_t shed = cs->shed.load(std::memory_order_relaxed);
+    const std::uint64_t rejected = cs->rejected.load(std::memory_order_relaxed);
     cs->stats_lock.lock();
-    c.completed = cs->completed;
-    c.slo_met = cs->slo_met;
-    c.total = cs->total;
-    c.queue_wait = cs->queue_wait;
+    report.classes.push_back(
+        cs->account.report(cs->spec, cs->epoch_id, accepted, rejected, shed));
     cs->stats_lock.unlock();
-    report.classes.push_back(std::move(c));
   }
   return report;
 }
 
 void KvService::telemetry_tick(Nanos now) {
-  // Snapshot into the preallocated scratch — relaxed racing reads of the
-  // same counters report() takes, at sampler fidelity (DESIGN.md §11).
+  // Relaxed racing reads of the same counters report() takes, at sampler
+  // fidelity (DESIGN.md §11).
+  TelemetryTickInputs& in = telemetry_->tick_inputs();
   for (std::size_t c = 0; c < classes_.size(); ++c) {
-    tick_accepted_[c] = classes_[c]->accepted.load(std::memory_order_relaxed);
-    tick_shed_[c] = classes_[c]->shed.load(std::memory_order_relaxed);
+    const ClassState& cs = *classes_[c];
+    in.class_accepted[c] = cs.accepted.load(std::memory_order_relaxed);
+    in.class_shed[c] = cs.shed.load(std::memory_order_relaxed);
   }
   for (std::size_t s = 0; s < shards_.size(); ++s) {
-    tick_depth_[s] = shards_[s]->queue.size();
+    in.shard_depth[s] = shards_[s]->queue.size();
   }
-  TelemetryTickInputs in;
-  in.class_accepted = tick_accepted_.data();
-  in.class_shed = tick_shed_.data();
-  in.shard_depth = tick_depth_.data();
-  in.lock_acquires =
-      get_route_acquires_.load(std::memory_order_relaxed) +
-      put_route_acquires_.load(std::memory_order_relaxed);
-  in.lockfree_gets = lockfree_gets_.load(std::memory_order_relaxed);
-  telemetry_->fold_tick(
-      now > telemetry_start_ns_ ? now - telemetry_start_ns_ : 0, in);
+  in.routes = lock_route_stats();
+  telemetry_->fold_tick(now > telemetry_start_ns_ ? now - telemetry_start_ns_
+                                                  : 0);
 }
 
 void KvService::worker_loop(const WorkerSlot& slot) {
@@ -319,38 +241,29 @@ std::string_view ValueArena::format_value(std::uint64_t key) {
 
 void KvService::drain_queue(const WorkerSlot& slot) {
   Shard& shard = *shards_[slot.shard];
-  // One arena per worker, on the drain loop's own stack: naturally private
-  // to this thread for the whole run (see ValueArena's sharing note).
+  // One arena and one batch plan per worker, on the drain loop's own stack:
+  // naturally private to this thread for the whole run (see ValueArena's
+  // sharing note), and reused batch after batch.
   ValueArena arena;
+  BatchPlan plan;
   Request head;
   while (shard.queue.pop(head)) {
-    serve_batch(slot, head, arena);
+    serve_batch(slot, head, plan, arena);
   }
 }
 
 void KvService::serve_batch(const WorkerSlot& slot, const Request& head,
-                            ValueArena& arena) {
+                            BatchPlan& plan, ValueArena& arena) {
   Shard& shard = *shards_[slot.shard];
-  struct Served {
-    Request req;
-    std::string_view value;  // arena-formatted put value (empty for gets)
-    Nanos wait = 0;  // enqueue -> pop (the instant a worker took charge)
-    Nanos done = 0;  // end of the request's critical-section segment
-  };
-  Served batch[kMaxBatch];
-  std::size_t count = 0;
-  const std::size_t batch_k = config_.batch_k;  // clamped to kMaxBatch
-
-  // The head's value is formatted here — outside the critical section, into
-  // the worker's arena (DESIGN.md §9). This is the put path's whole point:
-  // the old code built a std::string inside the shard lock on every put.
-  const std::string_view head_value =
-      head.op == OpType::kPut ? arena.format_value(head.key)
-                              : std::string_view{};
   const Nanos head_start = now_ns();
-  batch[count++] = Served{
-      head, head_value,
-      head_start > head.enqueue_ns ? head_start - head.enqueue_ns : 0, 0};
+  plan.begin(head, head_start > head.enqueue_ns ? head_start - head.enqueue_ns
+                                                : 0,
+             cost_);
+  // The head's value is formatted here — outside the critical section, into
+  // the worker's arena (DESIGN.md §9).
+  if (head.op == OpType::kPut) {
+    plan.member(0).value = arena.format_value(head.key);
+  }
 
   // The acquisition runs under the *head* request's class epoch: one
   // reorder-dispatch decision per batch, governed by the window of the
@@ -365,32 +278,31 @@ void KvService::serve_batch(const WorkerSlot& slot, const Request& head,
   const bool traced = telem && telem->tracer().sample(slot.index);
   if (traced) {
     telem->tracer().record(slot.index, obs::SpanPhase::kQueueWait,
-                           head.enqueue_ns, batch[0].wait);
+                           head.enqueue_ns, plan.member(0).wait);
   }
 
-  const bool lock_free_gets = cost_.get_lock_free;
-  if (lock_free_gets && head.op == OpType::kGet) {
-    // Lock-free get route (DESIGN.md §8): the engine's snapshot read is
-    // wait-free against writers, so a get-headed serve touches neither the
-    // shard lock nor the batch extension — the emulated service time is
-    // the get class's cs_nops spent *off-lock* at non-CS speed (the same
-    // accounting the twin charges under ncs_slowdown), and the next
-    // waiting request is picked up by the regular pop loop immediately.
-    spin_nops(slot.speed.scale_ncs(cost_.get.cs_nops));
-    (void)shard.engine->get(head.key);
-    batch[0].done = now_ns();
-    lockfree_gets_.fetch_add(1, std::memory_order_relaxed);
-    if (traced) {
-      telem->tracer().record(slot.index, obs::SpanPhase::kCriticalSection,
-                             head_start, batch[0].done - head_start);
+  // Serves member i of the sealed plan: its segment's NOPs at the speed of
+  // the side of the lock it runs on, then the engine op. A request is done
+  // at the end of its own segment, not the batch's: later members pay for
+  // the work ahead of them in their measured latency, exactly like
+  // requests served by separate acquisitions.
+  auto serve = [&](std::size_t i) {
+    BatchMember& m = plan.member(i);
+    const Segment seg = plan.segment(i);
+    spin_nops(seg.on_lock ? slot.speed.scale_cs(seg.nops)
+                          : slot.speed.scale_ncs(seg.nops));
+    if (seg.op == OpType::kPut) {
+      shard.engine->put(m.req.key, m.value);
+    } else {
+      (void)shard.engine->get(m.req.key);
     }
-  } else {
-    // Locked route. The acquisition is attributed to the head's op kind:
-    // get_route_acquires must stay zero on a lock-free profile, and on
-    // locked engines it is the counter that shows gets do block here.
-    (head.op == OpType::kPut ? put_route_acquires_ : get_route_acquires_)
-        .fetch_add(1, std::memory_order_relaxed);
-    Nanos t_acq = head_start;
+    m.done = now_ns();
+    count_segment(routes_, seg);
+  };
+
+  Nanos t_acq = head_start;
+  if (plan.locked()) {
+    count_acquisition(routes_, plan);
     if (telem) {
       const Nanos waited = shard.lock.lock_timed();
       t_acq = now_ns();
@@ -403,44 +315,20 @@ void KvService::serve_batch(const WorkerSlot& slot, const Request& head,
       shard.lock.lock();
     }
     // Batch extension after the acquisition: requests that were already
-    // waiting when the lock was won ride along in this critical section;
-    // the drain never waits for new arrivals. Extension values are
-    // formatted at pop time — inside the lock (they cannot exist earlier:
-    // the batch is discovered under it) but still allocation-free, a
-    // bounded snprintf into the same arena.
-    Request more;
-    while (count < batch_k && shard.queue.try_pop(more)) {
-      const std::string_view value = more.op == OpType::kPut
-                                         ? arena.format_value(more.key)
-                                         : std::string_view{};
+    // waiting when the lock was won ride along; the drain never waits for
+    // new arrivals. Extension values are formatted at pop time — inside the
+    // lock (the batch is discovered under it) but allocation-free.
+    plan.extend(config_.batch_k, [&](BatchMember& m) {
+      if (!shard.queue.try_pop(m.req)) return false;
+      if (m.req.op == OpType::kPut) m.value = arena.format_value(m.req.key);
       const Nanos t = now_ns();
-      batch[count++] = Served{
-          more, value, t > more.enqueue_ns ? t - more.enqueue_ns : 0, 0};
-    }
-    // Critical-section pass. On a lock-free profile only the puts run here
-    // — gets that rode a put-headed batch are deferred past the release
-    // (served below, off-lock, in pop order). On locked profiles this is
-    // the historic path serving every op in pop order, byte-identical
-    // behaviour to before the route split.
-    for (std::size_t i = 0; i < count; ++i) {
-      const Request& req = batch[i].req;
-      const bool is_put = req.op == OpType::kPut;
-      if (lock_free_gets && !is_put) continue;
-      // Per-op cost class (DESIGN.md §7): the emulated critical-section
-      // cost of *this* op's kind, on top of the actual engine call below.
-      spin_nops(slot.speed.scale_cs(cost_.op(is_put).cs_nops));
-      if (is_put) {
-        shard.engine->put(req.key, batch[i].value);
-      } else {
-        (void)shard.engine->get(req.key);
-        cs_gets_.fetch_add(1, std::memory_order_relaxed);
-      }
-      // A request is done at the end of its own segment, not the batch's:
-      // later batch members pay for the work ahead of them in their
-      // measured latency, exactly like requests served by separate
-      // acquisitions.
-      batch[i].done = now_ns();
-    }
+      m.wait = t > m.req.enqueue_ns ? t - m.req.enqueue_ns : 0;
+      return true;
+    });
+  }
+  plan.seal();
+  for (std::size_t i = 0; i < plan.cs_count(); ++i) serve(i);
+  if (plan.locked()) {
     // Hold time ends here; the histogram/span recording happens after the
     // release so observation never extends the critical section.
     const Nanos hold = telem ? now_ns() - t_acq : 0;
@@ -452,26 +340,16 @@ void KvService::serve_batch(const WorkerSlot& slot, const Request& head,
                                t_acq, hold);
       }
     }
-    // Batch-size capture after the release: the recorder's internal lock
-    // must not extend the shard critical section. `count` is final — the
-    // extension loop closed before the CS pass.
+    // The recorder's internal lock must not extend the critical section.
     if (TraceRecorder* rec = recorder_.load(std::memory_order_relaxed)) {
-      rec->on_batch(slot.shard, static_cast<std::uint32_t>(count));
+      rec->on_batch(slot.shard, static_cast<std::uint32_t>(plan.count()));
     }
-    if (lock_free_gets) {
-      // Deferred gets: off-lock, after the puts published. Each still gets
-      // its own done stamp at the end of its own segment, so a get that
-      // waited behind two puts and another get pays for all three in its
-      // measured latency — the same segment rule as the CS pass.
-      for (std::size_t i = 0; i < count; ++i) {
-        const Request& req = batch[i].req;
-        if (req.op == OpType::kPut) continue;
-        spin_nops(slot.speed.scale_ncs(cost_.get.cs_nops));
-        (void)shard.engine->get(req.key);
-        batch[i].done = now_ns();
-        lockfree_gets_.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
+  }
+  for (std::size_t i = plan.cs_count(); i < plan.count(); ++i) serve(i);
+  if (traced && !plan.locked()) {
+    // A solo lock-free get's service span.
+    telem->tracer().record(slot.index, obs::SpanPhase::kCriticalSection,
+                           head_start, plan.member(0).done - head_start);
   }
 
   // Per-request feedback even though the acquisition was shared: the head
@@ -481,11 +359,11 @@ void KvService::serve_batch(const WorkerSlot& slot, const Request& head,
   // class controller sees that request's end-to-end latency (queue wait
   // included) — batching amortizes the lock, never the feedback.
   const Nanos post_start = traced ? now_ns() : 0;
-  for (std::size_t i = 0; i < count; ++i) {
-    const Request& req = batch[i].req;
-    ClassState& cs = *classes_[req.class_index];
+  for (std::size_t i = 0; i < plan.count(); ++i) {
+    const BatchMember& m = plan.member(i);
+    ClassState& cs = *classes_[m.req.class_index];
     const Nanos total =
-        batch[i].done > req.enqueue_ns ? batch[i].done - req.enqueue_ns : 0;
+        m.done > m.req.enqueue_ns ? m.done - m.req.enqueue_ns : 0;
     if (i > 0) epoch_start(cs.epoch_id);
     if (cs.spec.slo_ns > 0) {
       epoch_end_with_latency(cs.epoch_id, cs.spec.slo_ns, total);
@@ -493,14 +371,11 @@ void KvService::serve_batch(const WorkerSlot& slot, const Request& head,
       epoch_end(cs.epoch_id);
     }
     cs.stats_lock.lock();
-    cs.completed += 1;
-    if (cs.spec.slo_ns == 0 || total <= cs.spec.slo_ns) cs.slo_met += 1;
-    cs.total.record(slot.type, total);
-    cs.queue_wait.record(batch[i].wait);
+    cs.account.record(slot.type, total, m.wait, cs.spec.slo_ns);
     cs.stats_lock.unlock();
-    if (telem) telem->on_complete(slot.index, req.class_index, total);
+    if (telem) telem->on_complete(slot.index, m.req.class_index, total);
     spin_nops(slot.speed.scale_ncs(
-        cost_.op(req.op == OpType::kPut).post_nops));
+        cost_.op(m.req.op == OpType::kPut).post_nops));
   }
   if (traced) {
     telem->tracer().record(slot.index, obs::SpanPhase::kPostSection,

@@ -1,5 +1,5 @@
 // Sharded KV front-end — the open-loop service layer over the asl_db
-// engines (DESIGN.md §4).
+// engines (DESIGN.md §4), executed by worker threads on the wall clock.
 //
 // Layout: N shards, each one KvEngine (hash/btree/lsm/mvcc, selected by
 // KvServiceConfig::engine — DESIGN.md §7) guarded by a BlockingAslMutex
@@ -18,20 +18,16 @@
 // little-core workers stop standing by — the service-level version of the
 // paper's feedback loop.
 //
-// Lock-free read route (DESIGN.md §8): when the resolved CostProfile sets
-// get_lock_free (the mvcc engine), gets bypass the shard lock entirely —
-// the engine's snapshot reads are wait-free against writers, so the worker
-// serves them off-lock at non-CS speed while only puts acquire the mutex.
-// LockRouteStats counts which route served what on both the real path and
-// the twin.
+// What a batch serves, in which order and on which side of the lock — the
+// lock-free get route of DESIGN.md §8 included — is the shared BatchPlan
+// (server/serving.h); this file executes it with threads, spins and the
+// real mutex, the twin (sim_kv_service.h) with events in virtual time.
 #pragma once
 
 #include <atomic>
-#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <memory_resource>
-#include <string>
 #include <string_view>
 #include <thread>
 #include <vector>
@@ -40,11 +36,8 @@
 #include "db/engine.h"
 #include "platform/cacheline.h"
 #include "platform/raw_spinlock.h"
-#include "platform/rng.h"
 #include "server/request_queue.h"
-#include "stats/histogram.h"
-#include "stats/latency_split.h"
-#include "workload/cs_workload.h"
+#include "server/serving.h"
 
 namespace asl::obs {
 class Sampler;  // obs/sampler.h
@@ -53,38 +46,6 @@ class Sampler;  // obs/sampler.h
 namespace asl::server {
 
 class KvTelemetry;  // server/telemetry.h
-
-// The two engine operations a request can carry: kGet reads the key (a
-// miss is not an error — unprefilled keys simply return nothing), kPut
-// upserts a value derived from the key. Both run inside the shard lock.
-enum class OpType : std::uint8_t { kGet = 0, kPut = 1 };
-
-// Key -> shard mapping, shared by the real service and its simulated twin
-// (sim_kv_service.h) so both route identically: splitmix64 decorrelates
-// shard choice from key order, spreading zipfian-hot ranks and sequential
-// prefills alike over the shards.
-inline std::uint32_t shard_for_key(std::uint64_t key,
-                                   std::uint32_t num_shards) {
-  std::uint64_t h = key;
-  return static_cast<std::uint32_t>(splitmix64(h) % num_shards);
-}
-
-// Upper bound on batch_k both paths enforce: a worker never carries more
-// than this many requests through one lock acquisition (the real path's
-// batch scratch space is a fixed stack array, and unbounded batches would
-// starve the other worker of a shard anyway).
-inline constexpr std::size_t kMaxBatch = 64;
-
-// One queued request. `class_index` is the dense index into the configured
-// request classes (each of which owns a registered epoch id). A fixed-size
-// value type on purpose: the shard queues are preallocated rings of these,
-// so admission moves 24 bytes and never touches the heap (DESIGN.md §9).
-struct Request {
-  OpType op = OpType::kGet;
-  std::uint64_t key = 0;
-  std::uint32_t class_index = 0;
-  Nanos enqueue_ns = 0;
-};
 
 // Per-worker value arena (DESIGN.md §9). Puts format their value bytes into
 // this fixed monotonic buffer *before* entering the critical section; the
@@ -119,246 +80,6 @@ class ValueArena {
  private:
   alignas(kCacheLine) char buffer_[kMaxBatch * kSlotBytes];
   std::pmr::monotonic_buffer_resource resource_;
-};
-
-// Class-aware admission control (DESIGN.md §6). Under backpressure the
-// bounded shard queues should not degrade every class together: deliberately
-// rejecting ("shedding") the loose-SLO class early keeps queue headroom —
-// and therefore queueing delay — for the tight-SLO class. The policy is two
-// knobs that combine into one depth threshold:
-//
-//   * shed_priority — 0 marks the class protected: it is rejected only by a
-//     genuinely full queue (exactly the class-blind FIFO behaviour shedding
-//     replaces). Values >= 1 mark it sheddable; larger values shed earlier.
-//   * watermark — the queue-depth fraction of capacity where priority-1
-//     shedding begins. Each further priority level halves geometrically:
-//     priority p sheds once depth >= capacity * watermark^p. Priority 0
-//     yields watermark^0 = 1.0, i.e. the full-capacity limit, which is how
-//     "protected" and "plain FIFO rejection" are the same code path.
-//
-// shed_threshold() is that formula, shared by the real service and the twin
-// so both shed at exactly the same depths. Shed rejections are counted per
-// class (ClassReport::shed, a subset of rejected): deliberate sheds are
-// admission policy at work, not overload, which is why class_meets_slo()
-// exempts them from the rejection bound.
-struct AdmissionPolicy {
-  std::uint32_t shed_priority = 0;  // 0 = protected (full-queue rejects only)
-  double watermark = 0.5;           // depth fraction where priority 1 sheds
-};
-
-// The depth limit `policy` imposes on a queue of `capacity` slots: requests
-// of the class are admitted only while depth < the returned limit. Clamped
-// to [1, capacity] so a sheddable class always has at least one slot when
-// the queue is otherwise empty (a zero limit would starve a class even at
-// idle, which is a misconfiguration, not a policy).
-inline std::size_t shed_threshold(const AdmissionPolicy& policy,
-                                  std::size_t capacity) {
-  if (policy.shed_priority == 0) return capacity;
-  double fraction = 1.0;
-  for (std::uint32_t p = 0; p < policy.shed_priority; ++p) {
-    fraction *= policy.watermark;
-  }
-  // Nudge before flooring: watermarks like 0.29 are not exactly
-  // representable, so capacity * fraction can land a hair under the
-  // intended integer (100 * 0.29 == 28.999...) and a bare truncation
-  // would shed one slot early.
-  const double slots =
-      std::floor(static_cast<double>(capacity) * fraction + 1e-9);
-  if (slots <= 1.0) return 1;
-  if (slots >= static_cast<double>(capacity)) return capacity;
-  return static_cast<std::size_t>(slots);
-}
-
-// A request class: its epoch name (registered with the EpochRegistry at
-// service construction), the end-to-end latency SLO, and its admission
-// policy. slo_ns == 0 means "no SLO": the epoch still tags the request but
-// runs no feedback. The default admission policy is protected, so configs
-// that never mention shedding behave exactly as before.
-struct RequestClass {
-  std::string name;
-  Nanos slo_ns = 0;
-  AdmissionPolicy admission{};
-};
-
-// Live-telemetry knobs (DESIGN.md §11). Default-off: a config that never
-// mentions telemetry builds no registry, spawns no sampler thread, and the
-// hot path's only cost is one null-pointer test per batch. With enabled =
-// true the service preallocates the whole observation pipeline at
-// construction (metrics slots, time-series capacity, span rings), so
-// recording and sampling stay allocation-free — the telemetry-on
-// kv_alloc_audit zero is part of the contract, not a separate mode.
-struct TelemetryConfig {
-  bool enabled = false;
-  // Fold cadence of the sampler thread (real path) / of the virtual-time
-  // tick events the twin schedules over its horizon.
-  Nanos sample_period_ns = 5 * kNanosPerMilli;
-  // Preallocated points per series; later ticks drop (and count drops).
-  std::size_t max_ticks = 4096;
-  // Span tracing: 1-in-N request sampling per worker (0 = off — the
-  // compiled-in, default-off knob) into fixed per-worker rings that
-  // overwrite oldest when full.
-  std::uint32_t span_sample_every = 0;
-  std::size_t span_ring_capacity = 1024;
-};
-
-struct KvServiceConfig {
-  std::uint32_t num_shards = 4;
-  std::size_t queue_capacity = 256;  // per shard
-  // Workers = num_shards * workers_per_shard; worker w serves shard
-  // w % num_shards, so 2 workers/shard pairs a big with a little worker on
-  // every shard (AMP contention on the shard lock).
-  std::uint32_t workers_per_shard = 1;
-  // How many workers declare CoreType::kBig (the rest are little); ~0u =
-  // half, rounded up.
-  std::uint32_t big_workers = ~0u;
-  bool pin_workers = true;
-  // Storage engine per shard, by registry name (db/engine.h: "hash",
-  // "btree", "lsm"). An unknown name is a configuration bug: the service
-  // aborts at construction with kv_engine_error's diagnosis.
-  std::string engine = "hash";
-  // Per-op service-cost classes (DESIGN.md §7). All-zero (the default)
-  // resolves to the engine's checked-in calibrated profile
-  // (db::default_cost_profile); a non-empty profile — e.g. one measured by
-  // the engine_calib harness on this host — overrides it. Either way every
-  // class is scaled by cost_scale (the overload scenarios' knob: scaling
-  // preserves the get/put asymmetry instead of folding it away). The real
-  // worker spins cs_nops inside the shard lock and post_nops after release
-  // (core-speed scaled, cs_workload.h semantics) on top of the actual
-  // engine op; the twin charges the identical classes in virtual time.
-  db::CostProfile cost{};
-  double cost_scale = 1.0;
-  // Keys [0, prefill_keys) are inserted at construction so gets can hit.
-  std::uint64_t prefill_keys = 0;
-  // Batch drain (DESIGN.md §6): a worker serves up to batch_k same-shard
-  // requests per BlockingAslMutex acquisition — the blocking pop delivers
-  // the batch head, up to batch_k-1 more waiting requests join after the
-  // lock is acquired, and all of them execute back-to-back in one critical
-  // section. One lock acquisition (and one reorder-dispatch decision, made
-  // under the head request's class epoch) is amortized over the batch,
-  // while latency accounting and controller feedback stay per-request.
-  // batch_k = 1 is exactly the unbatched service. Clamped to [1, kMaxBatch].
-  std::uint32_t batch_k = 1;
-  std::vector<RequestClass> classes;
-  // Live telemetry (metrics registry + sampler + span tracer, DESIGN.md
-  // §11). Shared with the simulated twin, which samples the same series
-  // schema in virtual time.
-  TelemetryConfig telemetry;
-};
-
-// The per-op cost classes `config` actually runs with: the explicit profile
-// when set, otherwise the engine's checked-in default, either one scaled by
-// cost_scale. Aborts (with kv_engine_error's message) when the profile must
-// come from the registry but the engine name is unknown — the same rule
-// KvService applies at construction, shared here so the simulated twin
-// resolves identical numbers.
-db::CostProfile resolved_cost_profile(const KvServiceConfig& config);
-
-// Per-class accounting, merged across workers. Conservation contract:
-// offered = accepted + rejected; shed <= rejected (a shed is one kind of
-// rejection, so totals that sum accepted + rejected never double-count);
-// after stop() / a twin drain, completed == accepted.
-struct ClassReport {
-  std::string name;
-  int epoch_id = -1;
-  Nanos slo_ns = 0;
-  std::uint64_t accepted = 0;   // admitted to a shard queue
-  std::uint64_t rejected = 0;   // all bounces: full-queue + shed
-  std::uint64_t shed = 0;       // deliberate watermark rejections (subset)
-  std::uint64_t completed = 0;  // served by a worker
-  std::uint64_t slo_met = 0;    // completed with end-to-end latency <= SLO
-  LatencySplit total;           // end-to-end latency, by worker core type
-  Histogram queue_wait;         // admission -> service start
-
-  // Fraction of completed requests that met the class SLO; vacuously 1.0
-  // when nothing completed (an idle class has violated nothing).
-  double attainment() const {
-    return completed == 0 ? 1.0
-                          : static_cast<double>(slo_met) /
-                                static_cast<double>(completed);
-  }
-};
-
-// Snapshot of every class's accounting, in config order. Totals below sum
-// over classes; `shed` totals are part of total_rejected(), never added on
-// top of it.
-struct ServiceReport {
-  std::vector<ClassReport> classes;
-
-  std::uint64_t total_accepted() const {
-    std::uint64_t n = 0;
-    for (const ClassReport& c : classes) n += c.accepted;
-    return n;
-  }
-  std::uint64_t total_rejected() const {
-    std::uint64_t n = 0;
-    for (const ClassReport& c : classes) n += c.rejected;
-    return n;
-  }
-  std::uint64_t total_completed() const {
-    std::uint64_t n = 0;
-    for (const ClassReport& c : classes) n += c.completed;
-    return n;
-  }
-  std::uint64_t total_shed() const {
-    std::uint64_t n = 0;
-    for (const ClassReport& c : classes) n += c.shed;
-    return n;
-  }
-};
-
-// Per-class capacity-probe pass/fail criterion, shared by the real path and
-// the simulated twin: a class with an SLO passes iff its end-to-end p99 is
-// within the SLO *and* its **hard** rejections (full-queue bounces, i.e.
-// rejected - shed) are at most max_reject_fraction of its offered requests.
-// A hard-rejected request is an infinite-latency request — with bounded
-// queues, overload surfaces as rejections long before the queue-capped p99
-// moves, so the rejection term is what detects saturation. Deliberate sheds
-// are excluded from the bound: they are the admission policy working as
-// configured, not the service failing, so shedding the loose class must not
-// fail the tight class's capacity check (and the shed class itself is
-// judged on the latency of what it actually served). Classes without an SLO
-// (slo_ns == 0) pass vacuously.
-inline bool class_meets_slo(const ClassReport& c,
-                            double max_reject_fraction = 0.0) {
-  if (c.slo_ns == 0) return true;
-  const std::uint64_t offered = c.accepted + c.rejected;
-  if (offered == 0) return true;
-  // Defensive clamp: report() enforces shed <= rejected, but hand-built
-  // reports may not, and an unsigned underflow here would read as an
-  // astronomical rejection fraction.
-  const std::uint64_t hard = c.rejected >= c.shed ? c.rejected - c.shed : 0;
-  const double reject_fraction =
-      static_cast<double>(hard) / static_cast<double>(offered);
-  if (reject_fraction > max_reject_fraction) return false;
-  return c.total.overall().p99() <= c.slo_ns;
-}
-
-// Whole-service criterion: every class passes class_meets_slo. This is the
-// oracle the capacity probes bisect against on both paths.
-inline bool report_meets_slos(const ServiceReport& report,
-                              double max_reject_fraction = 0.0) {
-  for (const ClassReport& c : report.classes) {
-    if (!class_meets_slo(c, max_reject_fraction)) return false;
-  }
-  return true;
-}
-
-// Which route served what (DESIGN.md §8) — the observable that proves the
-// lock-free read path is actually lock-free. Counted identically by the
-// real service and the twin:
-//   * get_route_acquires — shard-lock acquisitions whose batch head was a
-//     get. Zero on a get_lock_free profile (the acceptance criterion: gets
-//     never block on the shard mutex), nonzero on locked engines.
-//   * put_route_acquires — acquisitions headed by a put.
-//   * cs_gets — gets served inside a critical section (locked engines).
-//   * lockfree_gets — gets served off-lock (head-get solo serves plus gets
-//     that rode a put-headed batch and were deferred past the release).
-// cs_gets + lockfree_gets == completed gets, always.
-struct LockRouteStats {
-  std::uint64_t get_route_acquires = 0;
-  std::uint64_t put_route_acquires = 0;
-  std::uint64_t cs_gets = 0;
-  std::uint64_t lockfree_gets = 0;
 };
 
 class TraceRecorder;  // workload/trace.h
@@ -405,11 +126,10 @@ class KvService {
   std::size_t queue_depth(std::uint32_t shard) const;
   // Total keys stored across all shard engines (prefill + completed puts).
   std::size_t store_size() const;
-  // Worker-slot count: num_shards * workers_per_shard, fixed at
+  // Worker-slot count (worker_slots() of the config), fixed at
   // construction whether or not start() ever ran.
   std::uint32_t num_workers() const;
-  // The effective configuration after construction-time clamping (shard/
-  // worker minimums, batch_k in [1, kMaxBatch], default class injection).
+  // The effective configuration: normalized_config() of the one passed in.
   const KvServiceConfig& config() const { return config_; }
 
   // Merged per-class accounting snapshot. Safe to call at any time; after
@@ -456,7 +176,7 @@ class KvService {
   };
 
   // Split by writer population: the admission counters are bumped by
-  // submitter threads on every try_submit, the completion stats by worker
+  // submitter threads on every try_submit, the completion account by worker
   // threads under stats_lock — putting each group on its own line keeps the
   // load generator and the workers from false-sharing, and both away from
   // the read-only spec words.
@@ -470,38 +190,32 @@ class KvService {
     std::atomic<std::uint64_t> shed{0};      // watermark bounces only
     // Worker side.
     alignas(kCacheLine) mutable RawSpinLock stats_lock;
-    std::uint64_t completed = 0;  // guarded by stats_lock
-    std::uint64_t slo_met = 0;
-    LatencySplit total;
-    Histogram queue_wait;
+    ClassAccount account;  // guarded by stats_lock
   };
 
-  // Read-only per-worker configuration, one private line each: slots_ is a
-  // contiguous vector every worker indexes in its hot loop, and padding
-  // them means a future mutable field cannot silently put two workers'
-  // state on one line.
-  struct alignas(kCacheLine) WorkerSlot {
-    std::uint32_t index = 0;
-    std::uint32_t shard = 0;
-    CoreType type = CoreType::kBig;
-    SpeedFactors speed{};
+  // LockRouteStats as relaxed atomics (the bump() overloads in serving.h).
+  struct AtomicRouteStats {
+    std::atomic<std::uint64_t> get_route_acquires{0};
+    std::atomic<std::uint64_t> put_route_acquires{0};
+    std::atomic<std::uint64_t> cs_gets{0};
+    std::atomic<std::uint64_t> lockfree_gets{0};
   };
 
   void worker_loop(const WorkerSlot& slot);
   // Blocking-pop/batch/serve loop shared by worker threads and the inline
   // drain in stop(); returns when the shard queue is closed and empty.
-  // Owns the worker's ValueArena for its whole run.
+  // Owns the worker's ValueArena and BatchPlan for its whole run.
   void drain_queue(const WorkerSlot& slot);
-  // One lock acquisition for `head` plus up to batch_k-1 already-waiting
-  // requests drained after the acquisition, executed back-to-back in the
-  // critical section, then per-request latency recording + controller
-  // feedback (DESIGN.md §6). Put values are formatted into `arena` (the
-  // head's before the acquisition); the arena is recycled before return.
+  // Executes one BatchPlan for `head`: the optional lock acquisition, the
+  // critical-section pass, the release, the off-lock pass, then per-request
+  // accounting + controller feedback (DESIGN.md §6). Put values are
+  // formatted into `arena` (the head's before the acquisition); the arena is
+  // recycled before return.
   void serve_batch(const WorkerSlot& slot, const Request& head,
-                   ValueArena& arena);
+                   BatchPlan& plan, ValueArena& arena);
   // One sampler fold: snapshots the admission counters, queue depths and
-  // route counters into the preallocated tick scratch and hands them to the
-  // telemetry layer. Allocation-free (kv_alloc_audit runs telemetry-on).
+  // route counters into the telemetry's preallocated tick inputs.
+  // Allocation-free (kv_alloc_audit runs telemetry-on).
   void telemetry_tick(Nanos now);
 
   KvServiceConfig config_;
@@ -510,12 +224,9 @@ class KvService {
   // race benignly with in-flight submits/workers; callers attach before
   // traffic for a complete recording.
   std::atomic<TraceRecorder*> recorder_{nullptr};
-  // Route counters: worker-side only, grouped on their own line away from
-  // the read-mostly config/cost words above.
-  alignas(kCacheLine) std::atomic<std::uint64_t> get_route_acquires_{0};
-  std::atomic<std::uint64_t> put_route_acquires_{0};
-  std::atomic<std::uint64_t> cs_gets_{0};
-  std::atomic<std::uint64_t> lockfree_gets_{0};
+  // Route counters: worker-side only, on their own line away from the
+  // read-mostly config/cost words above.
+  alignas(kCacheLine) AtomicRouteStats routes_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::vector<std::unique_ptr<ClassState>> classes_;
   std::vector<WorkerSlot> slots_;
@@ -530,13 +241,9 @@ class KvService {
   std::atomic<bool> stopped_{false};
   // Telemetry (null when disabled). The sampler starts after the workers
   // spawn and stops after they join — its final tick is the one sample
-  // guaranteed to observe drained queues and final counters. The tick
-  // scratch vectors are sized at construction so folds never allocate.
+  // guaranteed to observe drained queues and final counters.
   std::unique_ptr<KvTelemetry> telemetry_;
   std::unique_ptr<obs::Sampler> sampler_;
-  std::vector<std::uint64_t> tick_accepted_;
-  std::vector<std::uint64_t> tick_shed_;
-  std::vector<std::uint64_t> tick_depth_;
   Nanos telemetry_start_ns_ = 0;
 };
 

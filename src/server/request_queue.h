@@ -40,6 +40,17 @@ enum class PushResult : std::uint8_t {
   kFull = 2,  // rejected by capacity exhaustion or close()
 };
 
+// The admission rule of a depth-limited push, on an open queue holding
+// `depth` of `capacity` slots: capacity exhaustion first, then the caller's
+// limit — a shed is reported only when the queue still had room. The
+// twin's queue model (sim_kv_service.cpp) admits by this same function.
+inline PushResult admission_decision(std::size_t depth, std::size_t capacity,
+                                     std::size_t limit) {
+  if (depth >= capacity) return PushResult::kFull;
+  if (depth >= limit) return PushResult::kShed;
+  return PushResult::kOk;
+}
+
 template <typename T>
 class BoundedQueue {
  public:
@@ -65,13 +76,12 @@ class BoundedQueue {
   // for that class while the queue stays open to others.
   PushResult try_push_below(T item, std::size_t limit) {
     lock_.lock();
-    if (closed_ || count_ >= capacity_) {
+    const PushResult decision =
+        closed_ ? PushResult::kFull
+                : admission_decision(count_, capacity_, limit);
+    if (decision != PushResult::kOk) {
       lock_.unlock();
-      return PushResult::kFull;
-    }
-    if (count_ >= limit) {
-      lock_.unlock();
-      return PushResult::kShed;
+      return decision;
     }
     ring_[(head_ + count_) % capacity_] = std::move(item);
     count_ += 1;

@@ -10,40 +10,28 @@
 #include "sim/engine.h"
 
 namespace asl::server {
-namespace {
-
-// One queued request inside the twin. `at` is the virtual enqueue instant
-// (the TracePoint's scheduled arrival — admission is instantaneous, so
-// enqueue time equals arrival time, unlike the wall clock where try_submit
-// stamps slightly after the scheduled instant).
-struct SimRequest {
-  std::uint64_t key = 0;
-  std::uint32_t class_index = 0;
-  bool is_put = false;
-  Nanos at = 0;
-};
-
-}  // namespace
 
 struct SimKvService::Impl {
+  // Requests carry their virtual arrival instant as enqueue_ns: admission is
+  // instantaneous, so enqueue time equals arrival time (unlike the wall
+  // clock, where try_submit stamps slightly after the scheduled instant).
   struct Shard {
-    std::deque<SimRequest> queue;
+    std::deque<Request> queue;
     std::unique_ptr<sim::SimLock> lock;
     SimShardStats stats;
     Nanos depth_since = 0;  // last depth-change instant (integral bookkeeping)
   };
 
-  // One worker per simulated core (the twin of pin_workers): same slot
-  // assignment rule as KvService — worker w serves shard w % num_shards,
-  // the first big_workers slots are big.
+  // One worker per simulated core (the twin of pin_workers), laid out by
+  // worker_slots(). `plan` is reused for every batch the worker serves.
   struct Worker {
-    std::uint32_t index = 0;
-    std::uint32_t shard = 0;
+    WorkerSlot slot;
     sim::Core core{};
     sim::SimThread sim{};
     // Per-(worker, class) AIMD controllers — the twin of the real service's
     // thread-local epoch state, seeded by the same seed_config_for_slo rule.
     std::vector<WindowController> controllers;
+    BatchPlan plan;
     bool busy = false;
   };
 
@@ -53,10 +41,7 @@ struct SimKvService::Impl {
     std::uint64_t accepted = 0;
     std::uint64_t rejected = 0;  // all bounces (shed included)
     std::uint64_t shed = 0;      // watermark bounces only
-    std::uint64_t completed = 0;
-    std::uint64_t slo_met = 0;
-    LatencySplit total;
-    Histogram queue_wait;
+    ClassAccount account;
   };
 
   KvServiceConfig config;
@@ -74,7 +59,6 @@ struct SimKvService::Impl {
   // Telemetry in virtual time (DESIGN.md §11): the same KvTelemetry the
   // real path folds, single slot (the twin is single-threaded).
   std::unique_ptr<KvTelemetry> telemetry;
-  std::vector<std::uint64_t> tick_accepted, tick_shed, tick_depth;
   // Virtual instant of the last *service* event (arrival or work
   // completion). Telemetry ticks are engine events too, but they must not
   // move the reported drain time — drained_at reads this clock, which tick
@@ -84,30 +68,13 @@ struct SimKvService::Impl {
   void touch() { work_clock = eng.now(); }
 
   Impl(KvServiceConfig cfg, SimTwinConfig tw)
-      : config(std::move(cfg)), twin(std::move(tw)), rng(twin.seed) {
-    if (config.num_shards < 1) config.num_shards = 1;
-    if (config.workers_per_shard < 1) config.workers_per_shard = 1;
-    // The real path's BoundedQueue clamps capacity to 1; the twin must
-    // admit under the same bound or a zero-capacity config would diverge
-    // (reject-everything here vs serve-everything there). Same story for
-    // batch_k: both paths clamp to [1, kMaxBatch].
-    if (config.queue_capacity < 1) config.queue_capacity = 1;
-    if (config.batch_k < 1) config.batch_k = 1;
-    if (config.batch_k > kMaxBatch) {
-      config.batch_k = static_cast<std::uint32_t>(kMaxBatch);
-    }
-    if (config.classes.empty()) {
-      config.classes.push_back(RequestClass{"kv-default", 0});
-    }
-    // Same per-op cost resolution as the real service (engine registry
-    // default unless the config carries an explicit profile, then
-    // cost_scale): the twin charges the classes the real path spins.
-    cost = resolved_cost_profile(config);
+      : config(normalized_config(std::move(cfg))),
+        twin(std::move(tw)),
+        cost(resolved_cost_profile(config)),
+        rng(twin.seed) {
     for (const RequestClass& spec : config.classes) {
       ClassState cs;
       cs.spec = spec;
-      // Same precomputed shed depths as KvService: the twin and the real
-      // service reject a sheddable class at identical queue depths.
       cs.depth_limit = shed_threshold(spec.admission, config.queue_capacity);
       classes.push_back(std::move(cs));
     }
@@ -120,17 +87,13 @@ struct SimKvService::Impl {
       shards.push_back(std::move(shard));
     }
 
-    const std::uint32_t n = config.num_shards * config.workers_per_shard;
-    std::uint32_t num_big = config.big_workers;
-    if (num_big == ~0u) num_big = (n + 1) / 2;
-    for (std::uint32_t w = 0; w < n; ++w) {
+    for (const WorkerSlot& slot : worker_slots(config)) {
       auto worker = std::make_unique<Worker>();
-      worker->index = w;
-      worker->shard = w % config.num_shards;
-      worker->core.id = w;
-      worker->core.type = w < num_big ? CoreType::kBig : CoreType::kLittle;
+      worker->slot = slot;
+      worker->core.id = slot.index;
+      worker->core.type = slot.type;
       worker->core.runnable = 1;
-      worker->sim.id = w;
+      worker->sim.id = slot.index;
       worker->sim.core = &worker->core;
       for (const RequestClass& spec : config.classes) {
         WindowController::Config ctl;
@@ -142,29 +105,22 @@ struct SimKvService::Impl {
 
     if (config.telemetry.enabled) {
       telemetry = std::make_unique<KvTelemetry>(config, /*num_slots=*/1);
-      tick_accepted.resize(classes.size());
-      tick_shed.resize(classes.size());
-      tick_depth.resize(shards.size());
     }
   }
 
-  // One virtual-time sampler fold at telemetry time `t` — the twin of
-  // KvService::telemetry_tick, reading the Impl counters directly.
+  // One virtual-time sampler fold at telemetry time `t`, reading the Impl
+  // counters directly.
   void sample_tick(Nanos t) {
+    TelemetryTickInputs& in = telemetry->tick_inputs();
     for (std::size_t c = 0; c < classes.size(); ++c) {
-      tick_accepted[c] = classes[c].accepted;
-      tick_shed[c] = classes[c].shed;
+      in.class_accepted[c] = classes[c].accepted;
+      in.class_shed[c] = classes[c].shed;
     }
     for (std::size_t s = 0; s < shards.size(); ++s) {
-      tick_depth[s] = shards[s]->queue.size();
+      in.shard_depth[s] = shards[s]->queue.size();
     }
-    TelemetryTickInputs in;
-    in.class_accepted = tick_accepted.data();
-    in.class_shed = tick_shed.data();
-    in.shard_depth = tick_depth.data();
-    in.lock_acquires = routes.get_route_acquires + routes.put_route_acquires;
-    in.lockfree_gets = routes.lockfree_gets;
-    telemetry->fold_tick(t, in);
+    in.routes = routes;
+    telemetry->fold_tick(t);
   }
 
   // Pre-posts one tick event per sample period over the arrival window (the
@@ -181,36 +137,20 @@ struct SimKvService::Impl {
     }
   }
 
-  // Per-op cost-class NOPs -> virtual ns under the machine model's
-  // asymmetry, floored at 1 ns so zero-cost classes still advance virtual
-  // time. The op kind selects the class (DESIGN.md §7) — this is where the
-  // old flat cs_nops fold used to live.
-  sim::Time cs_time(CoreType type, bool is_put) const {
-    // The per-op allocation charge (allocs * alloc_ns, DESIGN.md §9) rides
-    // on the op's service segment and stretches with the same slowdown the
-    // segment runs under: the allocation happens inside the engine call.
-    // With the default alloc_ns = 0.0 this term vanishes and the formula is
-    // the historic NOP fold.
-    const double ns = (static_cast<double>(cost.op(is_put).cs_nops) *
-                           twin.nop_ns +
-                       static_cast<double>(cost.op(is_put).allocs) *
-                           twin.alloc_ns) *
-                      twin.machine.cs_slowdown(type);
+  // A planned segment's NOPs (plus its allocation charge, allocs *
+  // alloc_ns — DESIGN.md §9) in virtual ns under the machine model's
+  // slowdown for the side of the lock it runs on, floored at 1 ns so
+  // zero-cost classes still advance virtual time.
+  sim::Time segment_time(CoreType type, const Segment& seg) const {
+    const double ns = (static_cast<double>(seg.nops) * twin.nop_ns +
+                       static_cast<double>(seg.allocs) * twin.alloc_ns) *
+                      (seg.on_lock ? twin.machine.cs_slowdown(type)
+                                   : twin.machine.ncs_slowdown(type));
     return ns < 1.0 ? sim::Time{1} : static_cast<sim::Time>(ns);
   }
   sim::Time post_time(CoreType type, bool is_put) const {
     const double ns = static_cast<double>(cost.op(is_put).post_nops) *
                       twin.nop_ns * twin.machine.ncs_slowdown(type);
-    return ns < 1.0 ? sim::Time{1} : static_cast<sim::Time>(ns);
-  }
-  // Lock-free get service time (DESIGN.md §8): the get class's cs_nops are
-  // still the latency-visible read, but they run off-lock at non-CS speed —
-  // the twin of the real worker's scale_ncs spin on the lock-free route.
-  // The get class's allocation charge moves off-lock with it.
-  sim::Time lockfree_get_time(CoreType type) const {
-    const double ns = (static_cast<double>(cost.get.cs_nops) * twin.nop_ns +
-                       static_cast<double>(cost.get.allocs) * twin.alloc_ns) *
-                      twin.machine.ncs_slowdown(type);
     return ns < 1.0 ? sim::Time{1} : static_cast<sim::Time>(ns);
   }
 
@@ -225,45 +165,29 @@ struct SimKvService::Impl {
   // compares it against the recorded one) and, when a recorder is attached,
   // captures the arrival + decision + route before any queue/worker state
   // moves — so recorded order is exactly virtual processing order.
-  TraceDecision arrive(std::uint32_t shard_index, const SimRequest& req) {
+  TraceDecision arrive(std::uint32_t shard_index, const Request& req) {
     touch();
     Shard& shard = *shards[shard_index];
     ClassState& cls = classes[req.class_index];
-    // Mirror of BoundedQueue::try_push_below: capacity exhaustion first,
-    // then the class watermark — a shed is counted only when the queue
-    // still had room.
-    TraceDecision decision = TraceDecision::kAdmit;
-    if (shard.queue.size() >= config.queue_capacity) {
-      decision = TraceDecision::kReject;
-    } else if (shard.queue.size() >= cls.depth_limit) {
-      decision = TraceDecision::kShed;
-    }
+    const PushResult pushed = admission_decision(
+        shard.queue.size(), config.queue_capacity, cls.depth_limit);
+    const TraceDecision decision = trace_decision(pushed);
     if (recorder != nullptr) {
-      recorder->on_arrival(req.at, req.class_index, req.is_put, req.key,
-                           decision, shard_index);
+      recorder->on_arrival(req.enqueue_ns, req.class_index,
+                           req.op == OpType::kPut, req.key, decision,
+                           shard_index);
     }
-    if (decision == TraceDecision::kReject) {
-      cls.rejected += 1;
-      shard.stats.rejected += 1;
-      return decision;
-    }
-    if (decision == TraceDecision::kShed) {
-      cls.shed += 1;
-      cls.rejected += 1;
-      shard.stats.rejected += 1;
-      shard.stats.shed += 1;
-      return decision;
-    }
+    count_admission(cls, pushed);
+    count_admission(shard.stats, pushed);
+    if (pushed != PushResult::kOk) return decision;
     flush_depth(shard);
     shard.queue.push_back(req);
-    cls.accepted += 1;
-    shard.stats.accepted += 1;
     shard.stats.max_depth =
         std::max<std::uint64_t>(shard.stats.max_depth, shard.queue.size());
     // Kick the lowest-index idle worker of this shard (the twin's stand-in
     // for whichever blocked popper the OS would wake first).
     for (auto& worker : workers) {
-      if (worker->shard == shard_index && !worker->busy) {
+      if (worker->slot.shard == shard_index && !worker->busy) {
         dispatch(*worker);
         break;
       }
@@ -271,182 +195,105 @@ struct SimKvService::Impl {
     return decision;
   }
 
-  // One claimed batch member: the request plus its queue wait, frozen at
-  // the instant a worker took charge of it (pop time), mirroring the real
-  // path's per-request wait measurement.
-  struct Pending {
-    SimRequest req;
-    Nanos wait = 0;
-  };
-
+  // Pops the head and executes the worker's BatchPlan for it. A locked plan
+  // acquires the simulated shard lock through the production DispatchPolicy
+  // under the *head* request's class window (one dispatch decision per
+  // batch, DESIGN.md §6), extends the batch at acquisition time and serves
+  // from there; an unlocked one (a lock-free get head) is served at once —
+  // no acquisition, no extension, no dispatch decision.
   void dispatch(Worker& worker) {
-    Shard& shard = *shards[worker.shard];
+    Shard& shard = *shards[worker.slot.shard];
     worker.busy = true;
     flush_depth(shard);
-    const SimRequest head = shard.queue.front();
+    const Request head = shard.queue.front();
     shard.queue.pop_front();
-    const Nanos head_wait = eng.now() - head.at;
-
-    if (cost.get_lock_free && !head.is_put) {
-      // Lock-free get route — the twin of the real worker's solo off-lock
-      // serve: no simulated acquisition, no batch extension, no dispatch-
-      // window decision (there is no lock to reorder around). The read
-      // occupies the worker for lockfree_get_time, then the usual
-      // accounting / feedback / post-op sequence runs at the same joints
-      // as a one-request locked batch.
-      routes.lockfree_gets += 1;
-      allocs_charged += cost.get.allocs;
-      eng.after(lockfree_get_time(worker.core.type),
-                [this, &worker, &shard, head, head_wait] {
-        touch();
-        ClassState& cls = classes[head.class_index];
-        const Nanos total = eng.now() - head.at;
-        cls.completed += 1;
-        shard.stats.completed += 1;
-        if (cls.spec.slo_ns == 0 || total <= cls.spec.slo_ns) {
-          cls.slo_met += 1;
-        }
-        cls.total.record(worker.core.type, total);
-        cls.queue_wait.record(head_wait);
-        if (telemetry) telemetry->on_complete(0, head.class_index, total);
-        if (cls.spec.slo_ns > 0 &&
-            DispatchPolicy::updates_window(worker.core.type)) {
-          worker.controllers[head.class_index].on_epoch_end(total,
-                                                            cls.spec.slo_ns);
-        }
-        eng.after(post_time(worker.core.type, /*is_put=*/false),
-                  [this, &worker, &shard] {
-          touch();
-          if (!shard.queue.empty()) {
-            dispatch(worker);
-          } else {
-            worker.busy = false;
-          }
-        });
-      });
+    BatchPlan& plan = worker.plan;
+    if (!plan.begin(head, eng.now() - head.enqueue_ns, cost)) {
+      plan.seal();
+      serve_segment(worker, shard, 0, 0);
       return;
     }
-    (head.is_put ? routes.put_route_acquires : routes.get_route_acquires) +=
-        1;
+    count_acquisition(routes, plan);
 
-    // The real worker wraps the shard critical section in epoch_start /
-    // epoch_end_with_latency; the twin consumes the same DispatchPolicy and
-    // WindowController directly (sim_runner precedent — the feedback loop is
-    // production code, only the clock is virtual). As on the real path, the
-    // *head* request's class window governs the one dispatch decision the
-    // whole batch shares (DESIGN.md §6).
-    ClassState& cls = classes[head.class_index];
-    WindowController& ctl = worker.controllers[head.class_index];
+    const ClassState& cls = classes[head.class_index];
+    const WindowController& ctl = worker.controllers[head.class_index];
     const std::uint64_t window = cls.spec.slo_ns > 0
                                      ? ctl.window()
                                      : DispatchPolicy::no_epoch_window();
-    const LockPlan plan = DispatchPolicy::plan(worker.core.type, window);
+    const LockPlan lock_plan = DispatchPolicy::plan(worker.core.type, window);
     const Nanos lock_req_at = eng.now();
     shard.lock->acquire(
         &worker.sim,
-        plan.immediate ? sim::AcquireMode::kImmediate
-                       : sim::AcquireMode::kReorder,
-        plan.window_ns,
-        [this, &worker, &shard, head, head_wait, lock_req_at] {
+        lock_plan.immediate ? sim::AcquireMode::kImmediate
+                            : sim::AcquireMode::kReorder,
+        lock_plan.window_ns, [this, &worker, &shard, lock_req_at] {
           touch();
           const Nanos acquired_at = eng.now();
           if (telemetry) telemetry->on_lock_wait(0, acquired_at - lock_req_at);
-          // Batch extension at acquisition time — the twin of the real
-          // worker's try_pop loop after lock.lock(): requests already
-          // waiting when the lock was won ride along, one simulated lock
-          // handoff amortized over all of them. Per-op engine cost is still
-          // paid per request (serve_segment), so batching saves handoffs,
-          // never work.
-          auto batch = std::make_shared<std::vector<Pending>>();
-          batch->push_back(Pending{head, head_wait});
-          while (batch->size() < config.batch_k && !shard.queue.empty()) {
+          // Requests already waiting when the lock was won ride along, one
+          // simulated lock handoff amortized over all of them; per-op
+          // engine cost is still paid per request (serve_segment).
+          BatchPlan& plan = worker.plan;
+          plan.extend(config.batch_k, [&](BatchMember& m) {
+            if (shard.queue.empty()) return false;
             flush_depth(shard);
-            const SimRequest req = shard.queue.front();
+            m.req = shard.queue.front();
             shard.queue.pop_front();
-            batch->push_back(Pending{req, eng.now() - req.at});
-          }
+            m.wait = eng.now() - m.req.enqueue_ns;
+            return true;
+          });
           if (recorder != nullptr) {
             // One histogram bucket per acquisition: summed over buckets,
             // batch counts equal the route acquire counters (lock-free solo
             // gets acquire nothing and are not batches).
-            recorder->on_batch(worker.shard,
-                               static_cast<std::uint32_t>(batch->size()));
+            recorder->on_batch(worker.slot.shard,
+                               static_cast<std::uint32_t>(plan.count()));
           }
-          std::size_t cs_count = batch->size();
-          if (cost.get_lock_free) {
-            // Mixed put-headed batch on the lock-free route: puts run
-            // first, inside the CS, gets are deferred past the release —
-            // the same stable puts-then-gets reorder the real worker's two
-            // serving passes produce (each group keeps pop order; waits
-            // were frozen at pop time above, so the reorder only changes
-            // *service* order).
-            std::stable_partition(
-                batch->begin(), batch->end(),
-                [](const Pending& p) { return p.req.is_put; });
-            cs_count = static_cast<std::size_t>(std::count_if(
-                batch->begin(), batch->end(),
-                [](const Pending& p) { return p.req.is_put; }));
-          }
-          serve_segment(worker, shard, batch, 0, cs_count, acquired_at);
+          plan.seal();
+          serve_segment(worker, shard, 0, acquired_at);
         });
   }
 
-  // Serves batch member i: one service segment for *its* op kind, then that
-  // request's accounting and controller feedback at the segment's end —
-  // later batch members see the work ahead of them in their measured
-  // latency, exactly like the real path. Members below cs_count run inside
-  // the critical section at cs_time; the lock is released after the last of
-  // them, and members past cs_count (deferred lock-free gets — only on a
-  // get_lock_free profile, where cs_count is the batch's put count) run
-  // off-lock at lockfree_get_time. Then each served request's own post-op
+  // Serves member i of the worker's sealed plan: one segment_time for its
+  // segment, then that request's accounting and controller feedback at the
+  // segment's end. The lock is released after the last critical-section
+  // member (i + 1 == cs_count); an unlocked plan has cs_count 0 and never
+  // releases. After the last member, each served request's own post-op
   // interval elapses before the worker re-dispatches or idles.
-  void serve_segment(Worker& worker, Shard& shard,
-                     const std::shared_ptr<std::vector<Pending>>& batch,
-                     std::size_t i, std::size_t cs_count, Nanos acquired_at) {
-    const bool in_cs = i < cs_count;
-    const sim::Time span = in_cs
-                               ? cs_time(worker.core.type, (*batch)[i].req.is_put)
-                               : lockfree_get_time(worker.core.type);
-    if (!in_cs) routes.lockfree_gets += 1;
-    if (in_cs && !(*batch)[i].req.is_put) routes.cs_gets += 1;
+  void serve_segment(Worker& worker, Shard& shard, std::size_t i,
+                     Nanos acquired_at) {
+    const Segment seg = worker.plan.segment(i);
+    count_segment(routes, seg);
     // Ledger entry regardless of alloc_ns: the count is the twin-side
     // assertion surface for the zero-allocation contract (DESIGN.md §9).
-    allocs_charged +=
-        in_cs ? cost.op((*batch)[i].req.is_put).allocs : cost.get.allocs;
-    eng.after(span, [this, &worker, &shard, batch, i, cs_count, acquired_at] {
+    allocs_charged += seg.allocs;
+    eng.after(segment_time(worker.core.type, seg),
+              [this, &worker, &shard, i, acquired_at] {
       touch();
-      const Pending& served = (*batch)[i];
+      const BatchPlan& plan = worker.plan;
+      const BatchMember& served = plan.member(i);
       ClassState& cls = classes[served.req.class_index];
-      const Nanos total = eng.now() - served.req.at;
-      cls.completed += 1;
+      const Nanos total = eng.now() - served.req.enqueue_ns;
+      cls.account.record(worker.core.type, total, served.wait, cls.spec.slo_ns);
       shard.stats.completed += 1;
-      if (cls.spec.slo_ns == 0 || total <= cls.spec.slo_ns) {
-        cls.slo_met += 1;
-      }
-      cls.total.record(worker.core.type, total);
-      cls.queue_wait.record(served.wait);
       if (telemetry) telemetry->on_complete(0, served.req.class_index, total);
       if (cls.spec.slo_ns > 0 &&
           DispatchPolicy::updates_window(worker.core.type)) {
         worker.controllers[served.req.class_index].on_epoch_end(
             total, cls.spec.slo_ns);
       }
-      // Release at the CS boundary: after the last critical-section member,
-      // whether or not deferred off-lock gets follow (when cs_count ==
-      // batch size this is the historic release-after-last-segment).
-      if (i + 1 == cs_count) {
+      if (i + 1 == plan.cs_count()) {
         if (telemetry) telemetry->on_lock_hold(0, eng.now() - acquired_at);
         shard.lock->release(&worker.sim);
       }
-      if (i + 1 < batch->size()) {
-        serve_segment(worker, shard, batch, i + 1, cs_count, acquired_at);
+      if (i + 1 < plan.count()) {
+        serve_segment(worker, shard, i + 1, acquired_at);
         return;
       }
-      // One post-op interval per served request, each priced by its own op
-      // class — the twin of the real path's per-request post spin.
       sim::Time post = 0;
-      for (const Pending& p : *batch) {
-        post += post_time(worker.core.type, p.req.is_put);
+      for (std::size_t m = 0; m < plan.count(); ++m) {
+        post += post_time(worker.core.type,
+                          plan.member(m).req.op == OpType::kPut);
       }
       eng.after(post, [this, &worker, &shard] {
         touch();
@@ -459,9 +306,20 @@ struct SimKvService::Impl {
     });
   }
 
+  // Runs the posted arrivals and the telemetry ticks over the horizon, then
+  // drains completely: arrivals stop at the horizon, workers run the queues
+  // dry — the virtual-time equivalent of stop()'s close-then-drain, so
+  // completed == accepted holds exactly on return. Shared verbatim by run()
+  // and replay(), so both emit byte-identical tables for identical
+  // executions.
+  void drain(Nanos horizon, SimServiceReport& report) {
+    schedule_ticks(horizon);
+    eng.run_all();
+    collect(report);
+  }
+
   // Snapshot after run_all(): per-class reports, shard stats, routes, the
-  // allocation ledger — shared verbatim by run() and replay() so both
-  // emit byte-identical tables for identical executions.
+  // allocation ledger.
   void collect(SimServiceReport& report) {
     // work_clock, not eng.now(): the last service event defines the drain
     // instant. With telemetry off they are the same clock; with telemetry on
@@ -476,18 +334,9 @@ struct SimKvService::Impl {
     }
     for (auto& shard : shards) flush_depth(*shard);
     for (const ClassState& cs : classes) {
-      ClassReport c;
-      c.name = cs.spec.name;
-      c.epoch_id = -1;  // the twin does not touch the global EpochRegistry
-      c.slo_ns = cs.spec.slo_ns;
-      c.accepted = cs.accepted;
-      c.rejected = cs.rejected;
-      c.shed = cs.shed;
-      c.completed = cs.completed;
-      c.slo_met = cs.slo_met;
-      c.total = cs.total;
-      c.queue_wait = cs.queue_wait;
-      report.service.classes.push_back(std::move(c));
+      // epoch_id -1: the twin does not touch the global EpochRegistry.
+      report.service.classes.push_back(
+          cs.account.report(cs.spec, -1, cs.accepted, cs.rejected, cs.shed));
     }
     for (const auto& shard : shards) {
       report.shards.push_back(shard->stats);
@@ -521,11 +370,8 @@ SimServiceReport SimKvService::run(const std::vector<LoadSpec>& load,
   for (const LoadSpec& spec : load) {
     if (spec.class_index >= impl_->classes.size()) continue;
     for (const TracePoint& p : generate_trace(spec, horizon)) {
-      SimRequest req;
-      req.key = p.key;
-      req.class_index = spec.class_index;
-      req.is_put = p.is_put;
-      req.at = p.at;
+      const Request req{p.is_put ? OpType::kPut : OpType::kGet, p.key,
+                        spec.class_index, p.at};
       report.offered += 1;
       impl_->eng.at(p.at, [this, req] {
         impl_->arrive(shard_of(req.key), req);
@@ -533,13 +379,7 @@ SimServiceReport SimKvService::run(const std::vector<LoadSpec>& load,
     }
   }
 
-  impl_->schedule_ticks(horizon);
-
-  // Drain completely: arrivals stop at the horizon, workers run the queues
-  // dry — the virtual-time equivalent of stop()'s close-then-drain, so
-  // completed == accepted holds exactly on return.
-  impl_->eng.run_all();
-  impl_->collect(report);
+  impl_->drain(horizon, report);
   return report;
 }
 
@@ -565,11 +405,8 @@ SimReplayReport SimKvService::replay(const RecordedTrace& trace) {
       rr.skipped += 1;
       continue;
     }
-    SimRequest req;
-    req.key = rec.key;
-    req.class_index = rec.class_index;
-    req.is_put = rec.is_put;
-    req.at = rec.at;
+    const Request req{rec.is_put ? OpType::kPut : OpType::kGet, rec.key,
+                      rec.class_index, rec.at};
     rr.report.offered += 1;
     impl_->eng.at(rec.at, [this, req, rec, &rr] {
       // Routing is always recomputed from the key: under the recorded
@@ -583,10 +420,7 @@ SimReplayReport SimKvService::replay(const RecordedTrace& trace) {
     });
   }
 
-  impl_->schedule_ticks(trace.meta.horizon);
-
-  impl_->eng.run_all();
-  impl_->collect(rr.report);
+  impl_->drain(trace.meta.horizon, rr.report);
   return rr;
 }
 

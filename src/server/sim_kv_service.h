@@ -9,41 +9,29 @@
 // shapes (latency vs offered load, rejection onset, hot-shard skew) become
 // regression-testable facts instead of wall-clock luck.
 //
-// Fidelity contract (what the twin models vs elides) is written out in
-// DESIGN.md §5; the short version:
-//   * modeled: shard routing (shard_for_key), bounded-queue admission with
-//     counted rejections, class-aware shedding at the same shed_threshold
-//     depths as the real queue (sheds counted per class and per shard),
-//     batch_k drain — one simulated lock handoff per batch, per-op engine
-//     cost per request, acquisition window from the head request's class —
-//     big/little worker slots (same assignment rule as KvService), the
-//     shard lock as the simulated Bench-6 substrate
-//     (LockKind::kBlockingReorderable by default), ASL dispatch + AIMD
-//     feedback via the production DispatchPolicy/WindowController driven by
-//     virtual end-to-end latencies (per batch member, at the end of its own
-//     critical-section segment), the lock-free get route (a get_lock_free
-//     profile serves gets with no lock acquisition at all — service time is
-//     the get class's cs_nops under the *non*-CS slowdown, the twin of the
-//     real worker's off-lock scale_ncs spin; puts in a mixed batch run
-//     first, inside the CS, with the deferred gets following the release in
-//     pop order — DESIGN.md §8), and the drain-on-stop invariant
-//     (completed == accepted).
-//   * elided: the engine's data structures (no keys are stored; service
-//     cost is the engine's per-op CostProfile — resolved_cost_profile, the
-//     same classes the real worker spins — under the machine model's
-//     big/little slowdowns, DESIGN.md §7), the EpochRegistry (the twin
-//     drives the
-//     controller/dispatch classes directly, like sim_runner does), OS
-//     scheduling of generator threads (arrivals fire exactly on schedule),
-//     and worker wake ordering (the lowest-index idle worker of a shard
-//     serves next; the real pop order is OS-dependent).
+// Fidelity contract (DESIGN.md §5). Shared *code* with the real path, from
+// server/serving.h: the config clamps, the worker-slot layout, shard
+// routing, the admission decision and shed depths, the batch plan (head,
+// extension to batch_k, the lock-free route split and its serving order),
+// the segment costs, the route counters and the per-class completion
+// account. Shared *rules*, executed on virtual time: the shard lock as the
+// simulated Bench-6 substrate (LockKind::kBlockingReorderable by default),
+// acquired through the production DispatchPolicy, with AIMD feedback from
+// per-(worker, class) WindowControllers fed each member's virtual
+// end-to-end latency at the end of its own segment; the drain-on-stop
+// invariant (completed == accepted). Elided: the engine's data structures
+// (no keys are stored; service cost is the resolved CostProfile under the
+// machine model's big/little slowdowns, DESIGN.md §7), the EpochRegistry,
+// OS scheduling of generator threads (arrivals fire exactly on schedule),
+// and worker wake ordering (the lowest-index idle worker of a shard serves
+// next; the real pop order is OS-dependent).
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "obs/timeseries_log.h"
-#include "server/kv_service.h"
+#include "server/serving.h"
 #include "server/scenarios.h"
 #include "sim/core_model.h"
 #include "sim/sim_lock.h"
@@ -173,11 +161,11 @@ class SimKvService {
   // so recorded order is exactly virtual processing order.
   void record_to(TraceRecorder* recorder);
 
-  // Identical mapping to KvService::shard_of (shared shard_for_key rule).
+  // shard_for_key, like KvService::shard_of.
   std::uint32_t shard_of(std::uint64_t key) const;
 
-  // The effective configuration after the same clamping KvService applies
-  // (queue capacity >= 1, batch_k in [1, kMaxBatch], default class).
+  // The effective configuration: normalized_config(), like
+  // KvService::config().
   const KvServiceConfig& config() const;
 
  private:

@@ -1,6 +1,5 @@
 #include "server/telemetry.h"
 
-#include "server/kv_service.h"
 #include "stats/histogram.h"
 
 namespace asl::server {
@@ -48,6 +47,9 @@ KvTelemetry::KvTelemetry(const KvServiceConfig& config,
   registry_.freeze();
 
   const std::size_t num_hists = num_classes + 2;
+  tick_.class_accepted.resize(num_classes);
+  tick_.class_shed.resize(num_classes);
+  tick_.shard_depth.resize(num_shards);
   cur_.resize(Histogram::kNumBuckets);
   delta_.resize(Histogram::kNumBuckets);
   prev_.assign(num_hists * Histogram::kNumBuckets, 0);
@@ -68,7 +70,8 @@ std::uint64_t KvTelemetry::windowed_p99(std::size_t hist_index,
   return Histogram::quantile_from_bucket_counts(delta_.data(), total, 0.99);
 }
 
-void KvTelemetry::fold_tick(Nanos t, const TelemetryTickInputs& in) {
+void KvTelemetry::fold_tick(Nanos t) {
+  const TelemetryTickInputs& in = tick_;
   const std::uint64_t ts = static_cast<std::uint64_t>(t);
   for (std::size_t c = 0; c < class_completed_.size(); ++c) {
     log_.append(s_class_accepted_[c], ts, in.class_accepted[c]);
@@ -80,12 +83,13 @@ void KvTelemetry::fold_tick(Nanos t, const TelemetryTickInputs& in) {
   for (std::size_t s = 0; s < s_shard_depth_.size(); ++s) {
     log_.append(s_shard_depth_[s], ts, in.shard_depth[s]);
   }
-  log_.append(s_lock_acquires_, ts, in.lock_acquires);
+  log_.append(s_lock_acquires_, ts,
+              in.routes.get_route_acquires + in.routes.put_route_acquires);
   log_.append(s_lock_wait_p99_, ts,
               windowed_p99(class_completed_.size(), lock_wait_));
   log_.append(s_lock_hold_p99_, ts,
               windowed_p99(class_completed_.size() + 1, lock_hold_));
-  log_.append(s_lockfree_gets_, ts, in.lockfree_gets);
+  log_.append(s_lockfree_gets_, ts, in.routes.lockfree_gets);
   ticks_ += 1;
 }
 

@@ -8,9 +8,9 @@
 //     cells (wait-free, allocation-free; the telemetry-on kv_alloc_audit
 //     zero depends on it);
 //   * the *sampler* (a real thread on the real path, virtual-time tick
-//     events on the twin) calls fold_tick with a TelemetryTickInputs
-//     snapshot of the counters the service already owns (admission,
-//     queue depths, lock routes) — fold_tick sums the registry slots,
+//     events on the twin) fills tick_inputs() with a snapshot of the
+//     counters the service already owns (admission, queue depths, lock
+//     routes) and calls fold_tick, which sums the registry slots,
 //     computes windowed p99s from per-tick bucket deltas, and appends one
 //     point per series. All fold scratch is preallocated here, so a tick
 //     never allocates either.
@@ -36,20 +36,19 @@
 #include "obs/span_tracer.h"
 #include "obs/timeseries_log.h"
 #include "platform/time.h"
+#include "server/serving.h"
 
 namespace asl::server {
 
-struct KvServiceConfig;
-
 // One sampler fold's view of the counters the *service* owns (the registry
-// covers only what workers record directly). Pointers refer to the caller's
-// preallocated scratch, valid for the duration of the fold_tick call.
+// covers only what workers record directly). KvTelemetry preallocates one
+// (vectors sized to the config's classes and shards); the service fills it
+// in place before each fold_tick, so a tick never allocates.
 struct TelemetryTickInputs {
-  const std::uint64_t* class_accepted = nullptr;  // [num_classes]
-  const std::uint64_t* class_shed = nullptr;      // [num_classes]
-  const std::uint64_t* shard_depth = nullptr;     // [num_shards]
-  std::uint64_t lock_acquires = 0;
-  std::uint64_t lockfree_gets = 0;
+  std::vector<std::uint64_t> class_accepted;  // [num_classes]
+  std::vector<std::uint64_t> class_shed;      // [num_classes]
+  std::vector<std::uint64_t> shard_depth;     // [num_shards]
+  LockRouteStats routes;
 };
 
 class KvTelemetry {
@@ -76,11 +75,14 @@ class KvTelemetry {
   }
 
   // --- sampler side ------------------------------------------------------
+  // The inputs the next fold_tick reads; the service fills them first.
+  TelemetryTickInputs& tick_inputs() { return tick_; }
   // Appends one point to every series at time `t` (ns on the telemetry time
   // axis — wall-clock-since-start() on the real path, virtual time on the
-  // twin). Single-threaded by contract: the real Sampler serializes its
-  // ticks, the twin is single-threaded by construction.
-  void fold_tick(Nanos t, const TelemetryTickInputs& in);
+  // twin) from tick_inputs() and the registry. Single-threaded by contract:
+  // the real Sampler serializes its ticks, the twin is single-threaded by
+  // construction.
+  void fold_tick(Nanos t);
 
   std::uint64_t ticks() const { return ticks_; }
   const obs::TimeSeriesLog& log() const { return log_; }
@@ -120,6 +122,7 @@ class KvTelemetry {
   std::vector<std::uint64_t> cur_;
   std::vector<std::uint64_t> delta_;
   std::vector<std::uint64_t> prev_;
+  TelemetryTickInputs tick_;
   std::uint64_t ticks_ = 0;
 };
 

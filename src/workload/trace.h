@@ -32,7 +32,9 @@
 #include <utility>
 #include <vector>
 
-#include "server/kv_service.h"
+#include "platform/raw_spinlock.h"
+#include "server/request_queue.h"
+#include "server/serving.h"
 
 namespace asl::server {
 
@@ -40,6 +42,13 @@ namespace asl::server {
 // them: admitted to a shard queue, deliberately shed at a class watermark,
 // or hard-rejected by a full queue. Stable on-disk values.
 enum class TraceDecision : std::uint8_t { kAdmit = 0, kShed = 1, kReject = 2 };
+
+// The decision a depth-limited push reported (server/request_queue.h).
+inline TraceDecision trace_decision(PushResult pushed) {
+  return pushed == PushResult::kOk     ? TraceDecision::kAdmit
+         : pushed == PushResult::kShed ? TraceDecision::kShed
+                                       : TraceDecision::kReject;
+}
 
 // One offered request, in processing order. `at` is the arrival instant
 // relative to the run start (virtual ns on the twin, recorder-origin-

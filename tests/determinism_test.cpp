@@ -251,8 +251,8 @@ TEST(Determinism, SimTwinGoldenTraceMatchesCheckedInCsv) {
   // CostProfile produces distinct virtual-time tables, so all three cost
   // models are pinned byte-for-byte (sim_kv_<engine>_steady.csv) — and the
   // overloaded batch+shed scenario, pinning the batch-drain and
-  // admission-policy paths. To regenerate after an *intentional* model
-  // change:
+  // admission-policy paths, on hash and on mvcc. To regenerate after an
+  // *intentional* model change:
   //   ASL_WRITE_GOLDEN=1 ./determinism_test
   //     --gtest_filter='*SimTwinGoldenTrace*'
   // The batch+shed golden runs the scenario at the shared overload profile
@@ -273,6 +273,13 @@ TEST(Determinism, SimTwinGoldenTraceMatchesCheckedInCsv) {
   }
   cases.push_back({"sim_kv_batch_shed_overload.csv",
                    server::make_overloaded_kv_scenario("kv_batch_shed", 8.0)});
+  // The same overload on the mvcc engine pins the lock-free route split:
+  // put-headed batches whose deferred gets run after the release (325
+  // acquisitions, 306 of them multi-request; every get served off-lock).
+  server::KvScenario mvcc_shed =
+      server::make_overloaded_kv_scenario("kv_batch_shed", 8.0);
+  mvcc_shed.service.engine = "mvcc";
+  cases.push_back({"sim_kv_mvcc_batch_shed_overload.csv", mvcc_shed});
 
   bool regenerated = false;
   for (const GoldenCase& gc : cases) {

@@ -5,6 +5,7 @@
 // (DESIGN.md §8). The threaded suites are the CI TSan job's main customers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <string>
@@ -236,9 +237,13 @@ TEST(MvKvReclaim, PinnedSnapshotStaysFrozenUnderChurn) {
   const db::MvKv::Snapshot snap = kv.snapshot();
   // Heavy churn: every put retires the path it copied. The pinned snapshot
   // must keep seeing round 0 for every key, every time.
+  std::uint64_t max_sweeps_per_put = 0;
   for (int round = 1; round <= 20; ++round) {
     for (std::uint64_t k = 0; k < kKeys; ++k) {
+      const std::uint64_t sweeps_before = kv.reclaimer().sweep_count();
       kv.put(k, "r" + std::to_string(round) + ":" + std::to_string(k));
+      max_sweeps_per_put = std::max(
+          max_sweeps_per_put, kv.reclaimer().sweep_count() - sweeps_before);
       ASSERT_EQ(snap.get(k).value_or(""), "r0:" + std::to_string(k))
           << "round " << round << " key " << k;
     }
@@ -247,6 +252,15 @@ TEST(MvKvReclaim, PinnedSnapshotStaysFrozenUnderChurn) {
   // writer's backpressure gives up rather than deadlocking against our own
   // thread's pin)...
   EXPECT_GT(kv.reclaimer().retired_backlog(), 0u);
+  // ...and the pin must not stall the writer. The ascending inserts above
+  // built a 64-deep chain, so one put copies at most 65 nodes and retires
+  // at most 64. Its sweeps are then bounded by count, not by timing: 2 from
+  // the low-water replenish, at most 2 per freelist miss (one turn of the
+  // epoch succeeds, the next fails against the pin; 65 nodes from 32-node
+  // chunks miss at most 3 times) and 1 per retire batch boundary (at most
+  // 5 for 64 retirees at batch 16): 2 + 6 + 5 = 13. A writer that spins
+  // on advance+sweep while the pin holds runs up hundreds per miss.
+  EXPECT_LE(max_sweeps_per_put, 13u);
 }
 
 TEST(MvKvReclaim, BacklogDrainsAfterSnapshotsDrop) {

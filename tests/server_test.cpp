@@ -3,6 +3,7 @@
 // the open-loop generator's conservation laws.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <sstream>
 #include <string>
@@ -715,6 +716,215 @@ TEST(ServiceBatching, BatchKClampsAndDegenerateValuesServeEverything) {
     service.stop();
     EXPECT_EQ(service.report().classes[0].completed, accepted)
         << "batch_k " << k;
+  }
+}
+
+// ------------------------------------------------------------ serving core
+
+// The fields normalized_config() may touch, plus the ones it must keep.
+void expect_same_config(const KvServiceConfig& a, const KvServiceConfig& b,
+                        const std::string& what) {
+  EXPECT_EQ(a.num_shards, b.num_shards) << what;
+  EXPECT_EQ(a.queue_capacity, b.queue_capacity) << what;
+  EXPECT_EQ(a.workers_per_shard, b.workers_per_shard) << what;
+  EXPECT_EQ(a.big_workers, b.big_workers) << what;
+  EXPECT_EQ(a.batch_k, b.batch_k) << what;
+  EXPECT_EQ(a.engine, b.engine) << what;
+  ASSERT_EQ(a.classes.size(), b.classes.size()) << what;
+  for (std::size_t c = 0; c < a.classes.size(); ++c) {
+    EXPECT_EQ(a.classes[c].name, b.classes[c].name) << what;
+    EXPECT_EQ(a.classes[c].slo_ns, b.classes[c].slo_ns) << what;
+  }
+}
+
+TEST(ServingCore, RealAndTwinRunTheSameNormalizedConfig) {
+  struct Edge {
+    std::string what;
+    KvServiceConfig cfg;
+  };
+  std::vector<Edge> edges;
+  KvServiceConfig base;
+  base.num_shards = 2;
+  base.queue_capacity = 8;
+  edges.push_back({"defaults", base});
+  for (const std::uint32_t k : {0u, 1000u}) {
+    KvServiceConfig cfg = base;
+    cfg.batch_k = k;
+    edges.push_back({"batch_k " + std::to_string(k), cfg});
+  }
+  KvServiceConfig no_shards = base;
+  no_shards.num_shards = 0;
+  edges.push_back({"zero shards", no_shards});
+  KvServiceConfig no_workers = base;
+  no_workers.workers_per_shard = 0;
+  edges.push_back({"zero workers", no_workers});
+  KvServiceConfig no_queue = base;
+  no_queue.queue_capacity = 0;
+  edges.push_back({"zero queue capacity", no_queue});
+  for (Edge& e : edges) {
+    if (e.what != "defaults") {
+      e.cfg.classes.push_back(RequestClass{"parity", 250 * kNanosPerMicro});
+    }
+  }
+
+  for (const Edge& e : edges) {
+    const KvServiceConfig want = normalized_config(e.cfg);
+    KvService real(e.cfg);
+    SimKvService twin(e.cfg);
+    expect_same_config(real.config(), want, e.what + " (real)");
+    expect_same_config(twin.config(), want, e.what + " (twin)");
+    expect_same_config(normalized_config(want), want, e.what + " (idempotent)");
+    EXPECT_GE(want.num_shards, 1u) << e.what;
+    EXPECT_GE(want.workers_per_shard, 1u) << e.what;
+    EXPECT_GE(want.queue_capacity, 1u) << e.what;
+    EXPECT_GE(want.batch_k, 1u) << e.what;
+    EXPECT_LE(want.batch_k, kMaxBatch) << e.what;
+    EXPECT_FALSE(want.classes.empty()) << e.what;
+    EXPECT_EQ(real.num_workers(), worker_slots(want).size()) << e.what;
+  }
+  // The queue the real service builds is the capacity its config reports.
+  no_queue.num_shards = 1;
+  KvService real(no_queue);
+  EXPECT_EQ(real.config().queue_capacity, 1u);
+  EXPECT_TRUE(real.try_submit(OpType::kGet, 1, 0));
+  EXPECT_FALSE(real.try_submit(OpType::kGet, 2, 0));
+}
+
+TEST(ServingCore, WorkerSlotLayout) {
+  KvServiceConfig cfg;
+  cfg.num_shards = 3;
+  cfg.workers_per_shard = 2;
+  std::vector<WorkerSlot> slots = worker_slots(normalized_config(cfg));
+  ASSERT_EQ(slots.size(), 6u);
+  for (std::uint32_t w = 0; w < slots.size(); ++w) {
+    EXPECT_EQ(slots[w].index, w);
+    EXPECT_EQ(slots[w].shard, w % 3);
+    // big_workers = ~0u: the first half, rounded up, are big.
+    const CoreType want = w < 3 ? CoreType::kBig : CoreType::kLittle;
+    EXPECT_EQ(slots[w].type, want) << "worker " << w;
+    const SpeedFactors speed =
+        want == CoreType::kBig ? SpeedFactors::big() : SpeedFactors::little();
+    EXPECT_EQ(slots[w].speed.cs_scale, speed.cs_scale);
+    EXPECT_EQ(slots[w].speed.ncs_scale, speed.ncs_scale);
+  }
+  cfg.big_workers = 1;
+  slots = worker_slots(normalized_config(cfg));
+  for (std::uint32_t w = 0; w < slots.size(); ++w) {
+    EXPECT_EQ(slots[w].type, w == 0 ? CoreType::kBig : CoreType::kLittle);
+  }
+}
+
+// Pops `ops` in order into a plan's extension; counts the pops it served.
+struct ScriptedQueue {
+  std::vector<OpType> ops;
+  std::size_t next = 0;
+  bool pop(BatchMember& m) {
+    if (next == ops.size()) return false;
+    m.req.op = ops[next];
+    m.req.key = next + 1;  // the head is key 0, pops are keys 1, 2, ...
+    next += 1;
+    return true;
+  }
+};
+
+std::vector<std::uint64_t> serving_keys(const BatchPlan& plan) {
+  std::vector<std::uint64_t> keys;
+  for (std::size_t i = 0; i < plan.count(); ++i) {
+    keys.push_back(plan.member(i).req.key);
+  }
+  return keys;
+}
+
+Request head_request(OpType op) {
+  Request head;
+  head.op = op;
+  head.key = 0;
+  return head;
+}
+
+TEST(BatchPlanTest, LockedProfileKeepsPopOrder) {
+  const db::CostProfile cost = db::default_cost_profile("hash");
+  ASSERT_FALSE(cost.get_lock_free);
+  BatchPlan plan;
+  ASSERT_TRUE(plan.begin(head_request(OpType::kGet), 7, cost));
+  ScriptedQueue q{{OpType::kPut, OpType::kGet, OpType::kPut}};
+  plan.extend(8, [&](BatchMember& m) { return q.pop(m); });
+  plan.seal();
+  EXPECT_EQ(plan.count(), 4u);
+  EXPECT_EQ(plan.cs_count(), plan.count());
+  EXPECT_EQ(serving_keys(plan), (std::vector<std::uint64_t>{0, 1, 2, 3}));
+  EXPECT_EQ(plan.member(0).wait, 7u);
+  for (std::size_t i = 0; i < plan.count(); ++i) {
+    const Segment seg = plan.segment(i);
+    EXPECT_TRUE(seg.on_lock) << i;
+    EXPECT_EQ(seg.op, plan.member(i).req.op) << i;
+    EXPECT_EQ(seg.nops, cost.op(seg.op == OpType::kPut).cs_nops) << i;
+  }
+}
+
+TEST(BatchPlanTest, LockFreeGetHeadRunsAloneWithoutTheLock) {
+  const db::CostProfile cost = db::default_cost_profile("mvcc");
+  ASSERT_TRUE(cost.get_lock_free);
+  BatchPlan plan;
+  EXPECT_FALSE(plan.begin(head_request(OpType::kGet), 0, cost));
+  ScriptedQueue q{{OpType::kPut, OpType::kGet}};
+  plan.extend(8, [&](BatchMember& m) { return q.pop(m); });
+  plan.seal();
+  EXPECT_EQ(q.next, 0u) << "an unlocked batch must not take more requests";
+  EXPECT_FALSE(plan.locked());
+  EXPECT_EQ(plan.count(), 1u);
+  EXPECT_EQ(plan.cs_count(), 0u);
+  const Segment seg = plan.segment(0);
+  EXPECT_FALSE(seg.on_lock);
+  EXPECT_EQ(seg.op, OpType::kGet);
+  EXPECT_EQ(seg.nops, cost.get.cs_nops);
+  LockRouteStats routes;
+  count_acquisition(routes, plan);
+  count_segment(routes, seg);
+  EXPECT_EQ(routes.get_route_acquires + routes.put_route_acquires, 0u);
+  EXPECT_EQ(routes.lockfree_gets, 1u);
+}
+
+TEST(BatchPlanTest, LockFreePutHeadServesPutsThenGetsInPopOrder) {
+  const db::CostProfile cost = db::default_cost_profile("mvcc");
+  BatchPlan plan;
+  ASSERT_TRUE(plan.begin(head_request(OpType::kPut), 0, cost));
+  ScriptedQueue q{{OpType::kGet, OpType::kPut, OpType::kGet, OpType::kPut,
+                   OpType::kGet}};
+  plan.extend(8, [&](BatchMember& m) { return q.pop(m); });
+  plan.seal();
+  ASSERT_EQ(plan.count(), 6u);
+  EXPECT_EQ(plan.cs_count(), 3u);  // the head and the two popped puts
+  EXPECT_EQ(serving_keys(plan),
+            (std::vector<std::uint64_t>{0, 2, 4, 1, 3, 5}));
+  LockRouteStats routes;
+  count_acquisition(routes, plan);
+  for (std::size_t i = 0; i < plan.count(); ++i) {
+    const Segment seg = plan.segment(i);
+    EXPECT_EQ(seg.on_lock, i < 3) << i;
+    EXPECT_EQ(seg.op, i < 3 ? OpType::kPut : OpType::kGet) << i;
+    count_segment(routes, seg);
+  }
+  EXPECT_EQ(routes.put_route_acquires, 1u);
+  EXPECT_EQ(routes.get_route_acquires, 0u);
+  EXPECT_EQ(routes.cs_gets, 0u);
+  EXPECT_EQ(routes.lockfree_gets, 3u);
+}
+
+TEST(BatchPlanTest, NoBatchExceedsBatchKOrKMaxBatch) {
+  const db::CostProfile cost = db::default_cost_profile("hash");
+  BatchPlan plan;  // reused across batches, like a worker's
+  for (const std::size_t batch_k : {std::size_t{1}, std::size_t{5},
+                                    kMaxBatch, std::size_t{1000}}) {
+    ScriptedQueue q{std::vector<OpType>(2 * kMaxBatch, OpType::kPut)};
+    plan.begin(head_request(OpType::kPut), 0, cost);
+    plan.extend(batch_k, [&](BatchMember& m) { return q.pop(m); });
+    plan.seal();
+    const std::size_t want = std::min(batch_k, kMaxBatch);
+    EXPECT_EQ(plan.count(), want) << "batch_k " << batch_k;
+    EXPECT_EQ(plan.cs_count(), want) << "batch_k " << batch_k;
+    // A full batch stops popping: every request taken is served.
+    EXPECT_EQ(q.next, want - 1) << "batch_k " << batch_k;
   }
 }
 
