@@ -44,8 +44,8 @@ void MetricsRegistry::freeze() {
   // zero-initialized. vector(n) constructs elements in place, so the
   // non-movable atomic cells never need to relocate.
   scalars_ = std::vector<PaddedCell>(scalar_count_ * num_slots_);
-  hist_ = std::vector<std::atomic<std::uint64_t>>(
-      hist_count_ * num_slots_ * Histogram::kNumBuckets);
+  hist_ = std::vector<std::atomic<std::uint64_t>>(hist_count_ * num_slots_ *
+                                                  kHistCells);
 }
 
 std::uint64_t MetricsRegistry::fold(MetricId id) const {
@@ -69,6 +69,19 @@ std::uint64_t MetricsRegistry::fold_buckets(MetricId id,
     }
   }
   return total;
+}
+
+void MetricsRegistry::merge_slot(MetricId id, std::uint32_t slot,
+                                 Histogram& out) const {
+  const std::atomic<std::uint64_t>* cells = &hist_[hist_base(id, slot)];
+  std::uint64_t buckets[Histogram::kNumBuckets];
+  for (std::uint32_t b = 0; b < Histogram::kNumBuckets; ++b) {
+    // Acquire, pairing with observe(): the summary read next covers every
+    // observation these buckets count.
+    buckets[b] = cells[b].load(std::memory_order_acquire);
+  }
+  out.merge_cells(buckets, cells[kSum].load(kRelaxed),
+                  ~cells[kNotMin].load(kRelaxed), cells[kMax].load(kRelaxed));
 }
 
 }  // namespace asl::obs

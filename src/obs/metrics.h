@@ -1,21 +1,19 @@
-// Lock-free metrics registry — the recording half of the telemetry layer
-// (DESIGN.md §11).
+// Lock-free metrics registry — the KV service's accounting store and the
+// recording half of the telemetry layer (DESIGN.md §11).
 //
 // Metrics are *named at registration, indexed at recording*: a service
 // registers counters, gauges and log-bucketed histograms while it is built,
 // calls freeze() once to lay the storage out, and from then on every
-// recording is one relaxed atomic RMW into a preallocated, cache-line-
-// padded per-slot cell — wait-free and allocation-free, which is what lets
-// the kv_alloc_audit zero survive with telemetry ON (DESIGN.md §9). A
-// "slot" is a writer identity (one per worker thread on the real path, a
-// single slot on the single-threaded twin); writers never share a cell, so
-// recording never contends and never false-shares.
+// recording writes preallocated per-slot cells — wait-free and
+// allocation-free, which is what lets the kv_alloc_audit zero hold
+// (DESIGN.md §9). A "slot" is a writer identity (a worker thread on the
+// real path, a simulated worker on the twin) with exactly one writer, so
+// recording never contends: a counter or bucket is one relaxed RMW, a
+// histogram's sum/min/max cells a plain load, compare and store.
 //
-// Reading is the sampler's job: fold() / fold_buckets() sum a metric's
-// slots with relaxed loads. Concurrent folds see a racing snapshot (each
-// cell individually atomic), which is exactly the fidelity a periodic
-// sampler needs — monotone counters can only be undercounted by an
-// in-flight increment, never corrupted.
+// Folds read a metric's slots with relaxed loads, racing the writers: the
+// snapshot is consistent per cell — monotone counters can only be
+// undercounted by an in-flight increment, never corrupted.
 #pragma once
 
 #include <atomic>
@@ -54,7 +52,7 @@ class MetricsRegistry {
   void freeze();
   bool frozen() const { return frozen_; }
 
-  // --- recording: wait-free, allocation-free, relaxed atomics ------------
+  // --- recording (slot's one writer only): wait-free, allocation-free ----
   void add(MetricId id, std::uint32_t slot, std::uint64_t delta) {
     scalars_[scalar_cell(id, slot)].value.fetch_add(
         delta, std::memory_order_relaxed);
@@ -64,17 +62,27 @@ class MetricsRegistry {
                                                 std::memory_order_relaxed);
   }
   void observe(MetricId id, std::uint32_t slot, std::uint64_t value) {
-    hist_[hist_base(id, slot) + Histogram::bucket_index(value)].fetch_add(
-        1, std::memory_order_relaxed);
+    std::atomic<std::uint64_t>* c = &hist_[hist_base(id, slot)];
+    c[kSum].store(c[kSum].load(kRelaxed) + value, kRelaxed);
+    if (~value > c[kNotMin].load(kRelaxed)) {
+      c[kNotMin].store(~value, kRelaxed);
+    }
+    if (value > c[kMax].load(kRelaxed)) c[kMax].store(value, kRelaxed);
+    // Release: a merge_slot() that counts this observation also sees it in
+    // the summary cells, so a mid-run fold's max covers its buckets.
+    c[Histogram::bucket_index(value)].fetch_add(1, std::memory_order_release);
   }
 
-  // --- folding (sampler side; allocation-free) ---------------------------
+  // --- folding (any thread; allocation-free) -----------------------------
   // Sum of a counter/gauge over every slot.
   std::uint64_t fold(MetricId id) const;
   // Per-bucket sums of a histogram over every slot, written into `out`
   // (caller-preallocated, Histogram::kNumBuckets entries, overwritten).
   // Returns the total observation count (the bucket sum).
   std::uint64_t fold_buckets(MetricId id, std::uint64_t* out) const;
+  // Merges one slot of a histogram into `out` — buckets, count, sum, min and
+  // max — so merging every slot reproduces one Histogram exactly.
+  void merge_slot(MetricId id, std::uint32_t slot, Histogram& out) const;
 
   std::uint32_t num_slots() const { return num_slots_; }
   std::size_t size() const { return metrics_.size(); }
@@ -99,11 +107,16 @@ class MetricsRegistry {
   std::size_t scalar_cell(MetricId id, std::uint32_t slot) const {
     return metrics_[id].base * num_slots_ + slot;
   }
+  // A histogram slot's block: the buckets, then sum, ~min (complemented, so
+  // a zeroed cell is an empty slot's ~0) and max padded to a line — way
+  // past a line in all, so per-slot padding is structural.
+  static constexpr std::size_t kSum = Histogram::kNumBuckets;
+  static constexpr std::size_t kNotMin = kSum + 1, kMax = kSum + 2;
+  static constexpr std::size_t kHistCells = kSum + kCacheLine / 8;
   std::size_t hist_base(MetricId id, std::uint32_t slot) const {
-    // A slot's bucket block is kNumBuckets * 8 bytes (way past a line), so
-    // per-slot padding is structural — no PaddedCell needed here.
-    return (metrics_[id].base * num_slots_ + slot) * Histogram::kNumBuckets;
+    return (metrics_[id].base * num_slots_ + slot) * kHistCells;
   }
+  static constexpr std::memory_order kRelaxed = std::memory_order_relaxed;
 
   MetricId register_metric(std::string name, MetricKind kind);
 
@@ -113,7 +126,7 @@ class MetricsRegistry {
   std::size_t scalar_count_ = 0;  // scalar metrics registered so far
   std::size_t hist_count_ = 0;    // histogram metrics registered so far
   std::vector<PaddedCell> scalars_;              // [scalar metric x slot]
-  std::vector<std::atomic<std::uint64_t>> hist_; // [hist metric x slot x bucket]
+  std::vector<std::atomic<std::uint64_t>> hist_; // [hist metric x slot x cell]
 };
 
 }  // namespace asl::obs

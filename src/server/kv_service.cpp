@@ -15,7 +15,8 @@ namespace asl::server {
 KvService::KvService(KvServiceConfig config)
     : config_(normalized_config(std::move(config))),
       cost_(resolved_cost_profile(config_)),
-      slots_(worker_slots(config_)) {
+      slots_(worker_slots(config_)),
+      metrics_(config_, slots_) {
   shards_.reserve(config_.num_shards);
   for (std::uint32_t s = 0; s < config_.num_shards; ++s) {
     std::unique_ptr<db::KvEngine> engine = db::make_kv_engine(config_.engine);
@@ -54,8 +55,7 @@ KvService::KvService(KvServiceConfig config)
   // the construction instant so a stop()-without-start() final tick still
   // lands on a sane time axis; start() re-stamps it.
   if (config_.telemetry.enabled) {
-    telemetry_ = std::make_unique<KvTelemetry>(
-        config_, static_cast<std::uint32_t>(slots_.size()));
+    telemetry_ = std::make_unique<KvTelemetry>(config_, metrics_);
     telemetry_start_ns_ = now_ns();
     sampler_ = std::make_unique<obs::Sampler>(
         config_.telemetry.sample_period_ns,
@@ -147,7 +147,7 @@ bool KvService::try_submit(OpType op, std::uint64_t key,
     rec->on_arrival(req.enqueue_ns, class_index, op == OpType::kPut, key,
                     trace_decision(pushed), shard);
   }
-  count_admission(cs, pushed);
+  metrics_.on_admission(class_index, pushed);
   return pushed == PushResult::kOk;
 }
 
@@ -174,46 +174,22 @@ std::uint32_t KvService::num_workers() const {
 }
 
 LockRouteStats KvService::lock_route_stats() const {
-  LockRouteStats s;
-  s.get_route_acquires =
-      routes_.get_route_acquires.load(std::memory_order_relaxed);
-  s.put_route_acquires =
-      routes_.put_route_acquires.load(std::memory_order_relaxed);
-  s.cs_gets = routes_.cs_gets.load(std::memory_order_relaxed);
-  s.lockfree_gets = routes_.lockfree_gets.load(std::memory_order_relaxed);
-  return s;
+  return metrics_.routes();
 }
 
 ServiceReport KvService::report() const {
   ServiceReport report;
-  for (const auto& cs : classes_) {
-    // shed before rejected (the mirror of count_admission's order), so
-    // a racing snapshot undercounts shed; ClassAccount::report clamps the
-    // rest.
-    const std::uint64_t accepted = cs->accepted.load(std::memory_order_relaxed);
-    const std::uint64_t shed = cs->shed.load(std::memory_order_relaxed);
-    const std::uint64_t rejected = cs->rejected.load(std::memory_order_relaxed);
-    cs->stats_lock.lock();
-    report.classes.push_back(
-        cs->account.report(cs->spec, cs->epoch_id, accepted, rejected, shed));
-    cs->stats_lock.unlock();
+  for (std::uint32_t c = 0; c < classes_.size(); ++c) {
+    report.classes.push_back(metrics_.class_report(c, classes_[c]->epoch_id));
   }
   return report;
 }
 
 void KvService::telemetry_tick(Nanos now) {
-  // Relaxed racing reads of the same counters report() takes, at sampler
-  // fidelity (DESIGN.md §11).
-  TelemetryTickInputs& in = telemetry_->tick_inputs();
-  for (std::size_t c = 0; c < classes_.size(); ++c) {
-    const ClassState& cs = *classes_[c];
-    in.class_accepted[c] = cs.accepted.load(std::memory_order_relaxed);
-    in.class_shed[c] = cs.shed.load(std::memory_order_relaxed);
-  }
+  std::vector<std::uint64_t>& depth = telemetry_->shard_depth();
   for (std::size_t s = 0; s < shards_.size(); ++s) {
-    in.shard_depth[s] = shards_[s]->queue.size();
+    depth[s] = shards_[s]->queue.size();
   }
-  in.routes = lock_route_stats();
   telemetry_->fold_tick(now > telemetry_start_ns_ ? now - telemetry_start_ns_
                                                   : 0);
 }
@@ -271,9 +247,9 @@ void KvService::serve_batch(const WorkerSlot& slot, const Request& head,
   ClassState& head_cls = *classes_[head.class_index];
   epoch_start(head_cls.epoch_id);
 
-  // Telemetry hooks (DESIGN.md §11): with telemetry off this whole layer is
-  // one null test per batch. A traced head (the span tracer's 1-in-N gate)
-  // contributes one span per phase it passes through.
+  // Telemetry hooks (DESIGN.md §11): with telemetry off the lock is not
+  // timed and no span is traced. A traced head (the span tracer's 1-in-N
+  // gate) contributes one span per phase it passes through.
   KvTelemetry* const telem = telemetry_.get();
   const bool traced = telem && telem->tracer().sample(slot.index);
   if (traced) {
@@ -297,16 +273,16 @@ void KvService::serve_batch(const WorkerSlot& slot, const Request& head,
       (void)shard.engine->get(m.req.key);
     }
     m.done = now_ns();
-    count_segment(routes_, seg);
+    metrics_.on_segment(slot.index, seg);
   };
 
   Nanos t_acq = head_start;
   if (plan.locked()) {
-    count_acquisition(routes_, plan);
+    metrics_.on_acquisition(slot.index, plan);
     if (telem) {
       const Nanos waited = shard.lock.lock_timed();
       t_acq = now_ns();
-      telem->on_lock_wait(slot.index, waited);
+      metrics_.on_lock_wait(slot.index, waited);
       if (traced) {
         telem->tracer().record(slot.index, obs::SpanPhase::kLockWait,
                                t_acq > waited ? t_acq - waited : 0, waited);
@@ -334,7 +310,7 @@ void KvService::serve_batch(const WorkerSlot& slot, const Request& head,
     const Nanos hold = telem ? now_ns() - t_acq : 0;
     shard.lock.unlock();
     if (telem) {
-      telem->on_lock_hold(slot.index, hold);
+      metrics_.on_lock_hold(slot.index, hold);
       if (traced) {
         telem->tracer().record(slot.index, obs::SpanPhase::kCriticalSection,
                                t_acq, hold);
@@ -370,10 +346,7 @@ void KvService::serve_batch(const WorkerSlot& slot, const Request& head,
     } else {
       epoch_end(cs.epoch_id);
     }
-    cs.stats_lock.lock();
-    cs.account.record(slot.type, total, m.wait, cs.spec.slo_ns);
-    cs.stats_lock.unlock();
-    if (telem) telem->on_complete(slot.index, m.req.class_index, total);
+    metrics_.on_complete(slot.index, m.req.class_index, total, m.wait);
     spin_nops(slot.speed.scale_ncs(
         cost_.op(m.req.op == OpType::kPut).post_nops));
   }

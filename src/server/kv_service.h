@@ -35,7 +35,6 @@
 #include "asl/libasl.h"
 #include "db/engine.h"
 #include "platform/cacheline.h"
-#include "platform/raw_spinlock.h"
 #include "server/request_queue.h"
 #include "server/serving.h"
 
@@ -132,13 +131,17 @@ class KvService {
   // The effective configuration: normalized_config() of the one passed in.
   const KvServiceConfig& config() const { return config_; }
 
-  // Merged per-class accounting snapshot. Safe to call at any time; after
+  // Merged per-class accounting snapshot: the admission counters plus a
+  // fold of the workers' metric slots (ServiceMetrics). Safe any time; after
   // stop() it is quiescent and satisfies completed == accepted per class.
+  // Mid-run it is consistent per cell, not per class: completed can even
+  // run ahead of accepted (try_submit counts after the push). slo_met is
+  // clamped to completed as shed is to rejected.
   ServiceReport report() const;
 
-  // Route accounting (see LockRouteStats). On a get_lock_free profile
-  // get_route_acquires stays 0 and cs_gets stays 0 — every get is served
-  // off-lock.
+  // Route accounting (see LockRouteStats), folded from the same slots. On a
+  // get_lock_free profile get_route_acquires stays 0 and cs_gets stays 0 —
+  // every get is served off-lock.
   LockRouteStats lock_route_stats() const;
 
   // Attach a trace recorder (workload/trace.h, DESIGN.md §10): every
@@ -175,30 +178,11 @@ class KvService {
     std::unique_ptr<db::KvEngine> engine;
   };
 
-  // Split by writer population: the admission counters are bumped by
-  // submitter threads on every try_submit, the completion account by worker
-  // threads under stats_lock — putting each group on its own line keeps the
-  // load generator and the workers from false-sharing, and both away from
-  // the read-only spec words.
+  // Read-only after construction; every counter lives in metrics_.
   struct ClassState {
     RequestClass spec;
     int epoch_id = -1;
     std::size_t depth_limit = 0;  // shed_threshold(spec.admission, capacity)
-    // Submitter side.
-    alignas(kCacheLine) std::atomic<std::uint64_t> accepted{0};
-    std::atomic<std::uint64_t> rejected{0};  // all bounces (shed included)
-    std::atomic<std::uint64_t> shed{0};      // watermark bounces only
-    // Worker side.
-    alignas(kCacheLine) mutable RawSpinLock stats_lock;
-    ClassAccount account;  // guarded by stats_lock
-  };
-
-  // LockRouteStats as relaxed atomics (the bump() overloads in serving.h).
-  struct AtomicRouteStats {
-    std::atomic<std::uint64_t> get_route_acquires{0};
-    std::atomic<std::uint64_t> put_route_acquires{0};
-    std::atomic<std::uint64_t> cs_gets{0};
-    std::atomic<std::uint64_t> lockfree_gets{0};
   };
 
   void worker_loop(const WorkerSlot& slot);
@@ -213,9 +197,9 @@ class KvService {
   // recycled before return.
   void serve_batch(const WorkerSlot& slot, const Request& head,
                    BatchPlan& plan, ValueArena& arena);
-  // One sampler fold: snapshots the admission counters, queue depths and
-  // route counters into the telemetry's preallocated tick inputs.
-  // Allocation-free (kv_alloc_audit runs telemetry-on).
+  // One sampler fold: snapshots the queue depths into the telemetry's
+  // preallocated tick input, then folds. Allocation-free (kv_alloc_audit
+  // runs telemetry-on).
   void telemetry_tick(Nanos now);
 
   KvServiceConfig config_;
@@ -224,12 +208,11 @@ class KvService {
   // race benignly with in-flight submits/workers; callers attach before
   // traffic for a complete recording.
   std::atomic<TraceRecorder*> recorder_{nullptr};
-  // Route counters: worker-side only, on their own line away from the
-  // read-mostly config/cost words above.
-  alignas(kCacheLine) AtomicRouteStats routes_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::vector<std::unique_ptr<ClassState>> classes_;
   std::vector<WorkerSlot> slots_;
+  // Admission, completions, routes and lock timing.
+  ServiceMetrics metrics_;
   std::vector<std::thread> workers_;
   // Lifecycle: transitions (spawn/join, the flags) serialize on
   // lifecycle_lock_, so concurrent start()/stop() from different threads

@@ -1,5 +1,6 @@
 #include "server/serving.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 
@@ -47,32 +48,6 @@ std::vector<WorkerSlot> worker_slots(const KvServiceConfig& config) {
   return slots;
 }
 
-void ClassAccount::record(CoreType type, Nanos total_ns, Nanos wait_ns,
-                          Nanos slo_ns) {
-  completed += 1;
-  if (slo_ns == 0 || total_ns <= slo_ns) slo_met += 1;
-  total.record(type, total_ns);
-  queue_wait.record(wait_ns);
-}
-
-ClassReport ClassAccount::report(const RequestClass& spec, int epoch_id,
-                                 std::uint64_t accepted,
-                                 std::uint64_t rejected,
-                                 std::uint64_t shed) const {
-  ClassReport c;
-  c.name = spec.name;
-  c.epoch_id = epoch_id;
-  c.slo_ns = spec.slo_ns;
-  c.accepted = accepted;
-  c.rejected = rejected;
-  c.shed = shed > rejected ? rejected : shed;
-  c.completed = completed;
-  c.slo_met = slo_met;
-  c.total = total;
-  c.queue_wait = queue_wait;
-  return c;
-}
-
 bool BatchPlan::begin(const Request& head, Nanos wait,
                       const db::CostProfile& cost) {
   cost_ = &cost;
@@ -108,6 +83,57 @@ Segment BatchPlan::segment(std::size_t i) const {
   const OpType op = member(i).req.op;
   const db::OpCost& cost = cost_->op(op == OpType::kPut);
   return Segment{op, i < cs_count_, cost.cs_nops, cost.allocs};
+}
+
+ServiceMetrics::ServiceMetrics(const KvServiceConfig& config,
+                               const std::vector<WorkerSlot>& slots)
+    : registry_(static_cast<std::uint32_t>(slots.size())),
+      admission_(config.classes.size()),
+      get_acquires_(registry_.counter("routes.get_route_acquires")),
+      put_acquires_(registry_.counter("routes.put_route_acquires")),
+      cs_gets_(registry_.counter("routes.cs_gets")),
+      lockfree_gets_(registry_.counter("routes.lockfree_gets")),
+      lock_wait_(registry_.histogram("lock.wait_ns")),
+      lock_hold_(registry_.histogram("lock.hold_ns")) {
+  for (const WorkerSlot& slot : slots) slot_types_.push_back(slot.type);
+  for (const RequestClass& spec : config.classes) {
+    const std::string prefix = "class." + spec.name;
+    classes_.push_back({spec, registry_.histogram(prefix + ".latency_ns"),
+                        registry_.histogram(prefix + ".qwait_ns"),
+                        registry_.counter(prefix + ".slo_met")});
+  }
+  registry_.freeze();
+}
+
+ClassReport ServiceMetrics::class_report(std::uint32_t class_index,
+                                         int epoch_id) const {
+  const ClassMetrics& m = classes_[class_index];
+  const Admission& a = admission_[class_index];
+  // shed before rejected (the mirror of count_admission's order), so a
+  // racing read undercounts shed; the clamp covers the rest.
+  const std::uint64_t accepted = a.accepted.load(std::memory_order_relaxed);
+  const std::uint64_t shed = a.shed.load(std::memory_order_relaxed);
+  const std::uint64_t rejected = a.rejected.load(std::memory_order_relaxed);
+  ClassReport c{m.spec.name, epoch_id, m.spec.slo_ns, accepted, rejected,
+                std::min(shed, rejected), 0, 0, {}, {}};
+  // Read before the latency fold, which a completion records first.
+  const std::uint64_t slo_met = registry_.fold(m.slo_met);
+  Histogram by_type[2];  // big, little
+  for (std::uint32_t s = 0; s < slot_types_.size(); ++s) {
+    registry_.merge_slot(m.latency, s,
+                         by_type[slot_types_[s] == CoreType::kBig ? 0 : 1]);
+    registry_.merge_slot(m.queue_wait, s, c.queue_wait);
+  }
+  c.total.merge(CoreType::kBig, by_type[0]);
+  c.total.merge(CoreType::kLittle, by_type[1]);
+  c.completed = c.total.overall().count();
+  c.slo_met = std::min(slo_met, c.completed);
+  return c;
+}
+
+LockRouteStats ServiceMetrics::routes() const {
+  return {registry_.fold(get_acquires_), registry_.fold(put_acquires_),
+          registry_.fold(cs_gets_), registry_.fold(lockfree_gets_)};
 }
 
 }  // namespace asl::server

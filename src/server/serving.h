@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "db/engine.h"
+#include "obs/metrics.h"
 #include "platform/cacheline.h"
 #include "platform/rng.h"
 #include "platform/time.h"
@@ -115,13 +116,12 @@ struct RequestClass {
   AdmissionPolicy admission{};
 };
 
-// Live-telemetry knobs (DESIGN.md §11). Default-off: a config that never
-// mentions telemetry builds no registry, spawns no sampler thread, and the
-// hot path's only cost is one null-pointer test per batch. With enabled =
-// true the service preallocates the whole observation pipeline at
-// construction (metrics slots, time-series capacity, span rings), so
-// recording and sampling stay allocation-free — the telemetry-on
-// kv_alloc_audit zero is part of the contract, not a separate mode.
+// Live-telemetry knobs (DESIGN.md §11). Default-off: no sampler thread, no
+// series or span rings, no shard-lock timing; the accounting cells
+// (ServiceMetrics) are live either way. With enabled = true the service
+// preallocates the pipeline at construction (time-series capacity, span
+// rings), so recording and sampling stay allocation-free — the
+// telemetry-on kv_alloc_audit zero is part of the contract.
 struct TelemetryConfig {
   bool enabled = false;
   // Fold cadence of the sampler thread (real path) / of the virtual-time
@@ -256,26 +256,6 @@ struct ServiceReport {
   }
 };
 
-// Completion-side accounting of one request class: every served request is
-// recorded once, at the end of its own service segment, and the account
-// folds into the class's ClassReport. The real service guards one account
-// per class with a spinlock; the single-threaded twin owns them outright.
-struct ClassAccount {
-  std::uint64_t completed = 0;
-  std::uint64_t slo_met = 0;  // slo_ns == 0 counts every completion as met
-  LatencySplit total;
-  Histogram queue_wait;
-
-  void record(CoreType type, Nanos total_ns, Nanos wait_ns, Nanos slo_ns);
-
-  // The class's report: its identity and admission counters (shed clamped
-  // to rejected, so a racing snapshot of relaxed counters can never break
-  // the shed <= rejected contract consumers subtract on) plus this account.
-  ClassReport report(const RequestClass& spec, int epoch_id,
-                     std::uint64_t accepted, std::uint64_t rejected,
-                     std::uint64_t shed) const;
-};
-
 // Per-class capacity-probe pass/fail criterion, shared by the real path and
 // the simulated twin: a class with an SLO passes iff its end-to-end p99 is
 // within the SLO *and* its **hard** rejections (full-queue bounces, i.e.
@@ -408,7 +388,7 @@ class BatchPlan {
   BatchMember members_[kMaxBatch];      // pop order
 };
 
-// Accounting rules, written once for the twin's plain counters and the
+// Admission accounting, written once for the twin's plain counters and the
 // real service's relaxed atomic ones.
 inline void bump(std::uint64_t& counter) { counter += 1; }
 inline void bump(std::atomic<std::uint64_t>& counter) {
@@ -427,21 +407,94 @@ void count_admission(Counters& counters, PushResult pushed) {
   bump(counters.rejected);
   if (pushed == PushResult::kShed) bump(counters.shed);
 }
-// A lock acquisition is attributed to its head's op kind: the get route
-// must stay at zero on a get_lock_free profile.
-template <typename Routes>
-void count_acquisition(Routes& routes, const BatchPlan& plan) {
-  if (!plan.locked()) return;
-  bump(plan.member(0).req.op == OpType::kPut ? routes.put_route_acquires
-                                             : routes.get_route_acquires);
-}
-template <typename Routes>
-void count_segment(Routes& routes, const Segment& segment) {
-  if (!segment.on_lock) {
-    bump(routes.lockfree_gets);
-  } else if (segment.op == OpType::kGet) {
-    bump(routes.cs_gets);
+
+// The one accounting store of both executors (DESIGN.md §1, §11): worker w
+// of worker_slots() — a thread, or a simulated worker on the twin — records
+// completions, routes and (with telemetry on) lock wait/hold into slot w of
+// one obs::MetricsRegistry, under its one-writer-per-slot rule (wait-free,
+// allocation-free). Admission is counted by submitters, which are not
+// worker slots, into per-class relaxed atomics. ServiceReport,
+// LockRouteStats and the telemetry ticks all read these same cells.
+class ServiceMetrics {
+ public:
+  // Registers and freezes every metric: the only allocation made here.
+  ServiceMetrics(const KvServiceConfig& config,
+                 const std::vector<WorkerSlot>& slots);
+
+  // One admission decision of `class_index` (any thread).
+  void on_admission(std::uint32_t class_index, PushResult pushed) {
+    count_admission(admission_[class_index], pushed);
   }
-}
+  // One served request: end-to-end latency, queue wait, and whether it met
+  // the class SLO (always, for a class without one).
+  void on_complete(std::uint32_t slot, std::uint32_t class_index,
+                   Nanos total_ns, Nanos wait_ns) {
+    const ClassMetrics& c = classes_[class_index];
+    registry_.observe(c.latency, slot, total_ns);
+    registry_.observe(c.queue_wait, slot, wait_ns);
+    if (c.spec.slo_ns == 0 || total_ns <= c.spec.slo_ns) {
+      registry_.add(c.slo_met, slot, 1);
+    }
+  }
+  // An acquisition counts on its head's route: the get route must stay at
+  // zero on a get_lock_free profile.
+  void on_acquisition(std::uint32_t slot, const BatchPlan& plan) {
+    if (!plan.locked()) return;
+    const bool put = plan.member(0).req.op == OpType::kPut;
+    registry_.add(put ? put_acquires_ : get_acquires_, slot, 1);
+  }
+  void on_segment(std::uint32_t slot, const Segment& segment) {
+    if (!segment.on_lock) {
+      registry_.add(lockfree_gets_, slot, 1);
+    } else if (segment.op == OpType::kGet) {
+      registry_.add(cs_gets_, slot, 1);
+    }
+  }
+  void on_lock_wait(std::uint32_t slot, Nanos wait_ns) {
+    registry_.observe(lock_wait_, slot, wait_ns);
+  }
+  void on_lock_hold(std::uint32_t slot, Nanos hold_ns) {
+    registry_.observe(lock_hold_, slot, hold_ns);
+  }
+
+  // A class's report: identity, admission counters, and its slots folded
+  // by core type (completed = the latency count). A racing fold is
+  // consistent per cell, so shed is clamped to rejected and slo_met to
+  // completed.
+  ClassReport class_report(std::uint32_t class_index, int epoch_id) const;
+  LockRouteStats routes() const;
+
+  // What the telemetry ticks fold.
+  std::uint64_t accepted(std::uint32_t c) const {
+    return admission_[c].accepted.load(std::memory_order_relaxed);
+  }
+  std::uint64_t shed(std::uint32_t c) const {
+    return admission_[c].shed.load(std::memory_order_relaxed);
+  }
+  const obs::MetricsRegistry& registry() const { return registry_; }
+  obs::MetricId latency(std::uint32_t c) const { return classes_[c].latency; }
+  obs::MetricId lock_wait() const { return lock_wait_; }
+  obs::MetricId lock_hold() const { return lock_hold_; }
+
+ private:
+  struct ClassMetrics {
+    RequestClass spec;
+    obs::MetricId latency, queue_wait;  // histograms
+    obs::MetricId slo_met;              // counter
+  };
+  // Bumped by submitters on every try_submit: each class on its own line.
+  struct alignas(kCacheLine) Admission {
+    std::atomic<std::uint64_t> accepted{0};
+    std::atomic<std::uint64_t> rejected{0};  // all bounces (shed included)
+    std::atomic<std::uint64_t> shed{0};      // watermark bounces only
+  };
+
+  obs::MetricsRegistry registry_;
+  std::vector<CoreType> slot_types_;
+  std::vector<ClassMetrics> classes_;
+  std::vector<Admission> admission_;
+  obs::MetricId get_acquires_, put_acquires_, cs_gets_, lockfree_gets_;
+  obs::MetricId lock_wait_, lock_hold_;
+};
 
 }  // namespace asl::server

@@ -38,26 +38,24 @@ struct SimKvService::Impl {
   struct ClassState {
     RequestClass spec;
     std::size_t depth_limit = 0;  // shed_threshold(spec.admission, capacity)
-    std::uint64_t accepted = 0;
-    std::uint64_t rejected = 0;  // all bounces (shed included)
-    std::uint64_t shed = 0;      // watermark bounces only
-    ClassAccount account;
   };
 
   KvServiceConfig config;
   SimTwinConfig twin;
   db::CostProfile cost;  // resolved_cost_profile(config): per-op classes
+  // Admission, completions, routes and lock timing: one slot per simulated
+  // worker, so the big/little split folds exactly as on the real path.
+  ServiceMetrics metrics;
   Rng rng;
   sim::Engine eng;
   std::vector<std::unique_ptr<Shard>> shards;
   std::vector<std::unique_ptr<Worker>> workers;
   std::vector<ClassState> classes;
-  LockRouteStats routes;
   std::uint64_t allocs_charged = 0;  // sum of per-op CostProfile allocs
   TraceRecorder* recorder = nullptr;  // not owned; null = no recording
   bool ran = false;
   // Telemetry in virtual time (DESIGN.md §11): the same KvTelemetry the
-  // real path folds, single slot (the twin is single-threaded).
+  // real path folds, over the same ServiceMetrics.
   std::unique_ptr<KvTelemetry> telemetry;
   // Virtual instant of the last *service* event (arrival or work
   // completion). Telemetry ticks are engine events too, but they must not
@@ -71,6 +69,7 @@ struct SimKvService::Impl {
       : config(normalized_config(std::move(cfg))),
         twin(std::move(tw)),
         cost(resolved_cost_profile(config)),
+        metrics(config, worker_slots(config)),
         rng(twin.seed) {
     for (const RequestClass& spec : config.classes) {
       ClassState cs;
@@ -104,22 +103,15 @@ struct SimKvService::Impl {
     }
 
     if (config.telemetry.enabled) {
-      telemetry = std::make_unique<KvTelemetry>(config, /*num_slots=*/1);
+      telemetry = std::make_unique<KvTelemetry>(config, metrics);
     }
   }
 
-  // One virtual-time sampler fold at telemetry time `t`, reading the Impl
-  // counters directly.
+  // One virtual-time sampler fold at telemetry time `t`.
   void sample_tick(Nanos t) {
-    TelemetryTickInputs& in = telemetry->tick_inputs();
-    for (std::size_t c = 0; c < classes.size(); ++c) {
-      in.class_accepted[c] = classes[c].accepted;
-      in.class_shed[c] = classes[c].shed;
-    }
     for (std::size_t s = 0; s < shards.size(); ++s) {
-      in.shard_depth[s] = shards[s]->queue.size();
+      telemetry->shard_depth()[s] = shards[s]->queue.size();
     }
-    in.routes = routes;
     telemetry->fold_tick(t);
   }
 
@@ -168,7 +160,7 @@ struct SimKvService::Impl {
   TraceDecision arrive(std::uint32_t shard_index, const Request& req) {
     touch();
     Shard& shard = *shards[shard_index];
-    ClassState& cls = classes[req.class_index];
+    const ClassState& cls = classes[req.class_index];
     const PushResult pushed = admission_decision(
         shard.queue.size(), config.queue_capacity, cls.depth_limit);
     const TraceDecision decision = trace_decision(pushed);
@@ -177,7 +169,7 @@ struct SimKvService::Impl {
                            req.op == OpType::kPut, req.key, decision,
                            shard_index);
     }
-    count_admission(cls, pushed);
+    metrics.on_admission(req.class_index, pushed);
     count_admission(shard.stats, pushed);
     if (pushed != PushResult::kOk) return decision;
     flush_depth(shard);
@@ -213,7 +205,7 @@ struct SimKvService::Impl {
       serve_segment(worker, shard, 0, 0);
       return;
     }
-    count_acquisition(routes, plan);
+    metrics.on_acquisition(worker.slot.index, plan);
 
     const ClassState& cls = classes[head.class_index];
     const WindowController& ctl = worker.controllers[head.class_index];
@@ -229,7 +221,9 @@ struct SimKvService::Impl {
         lock_plan.window_ns, [this, &worker, &shard, lock_req_at] {
           touch();
           const Nanos acquired_at = eng.now();
-          if (telemetry) telemetry->on_lock_wait(0, acquired_at - lock_req_at);
+          if (telemetry) {
+            metrics.on_lock_wait(worker.slot.index, acquired_at - lock_req_at);
+          }
           // Requests already waiting when the lock was won ride along, one
           // simulated lock handoff amortized over all of them; per-op
           // engine cost is still paid per request (serve_segment).
@@ -263,7 +257,7 @@ struct SimKvService::Impl {
   void serve_segment(Worker& worker, Shard& shard, std::size_t i,
                      Nanos acquired_at) {
     const Segment seg = worker.plan.segment(i);
-    count_segment(routes, seg);
+    metrics.on_segment(worker.slot.index, seg);
     // Ledger entry regardless of alloc_ns: the count is the twin-side
     // assertion surface for the zero-allocation contract (DESIGN.md §9).
     allocs_charged += seg.allocs;
@@ -272,18 +266,20 @@ struct SimKvService::Impl {
       touch();
       const BatchPlan& plan = worker.plan;
       const BatchMember& served = plan.member(i);
-      ClassState& cls = classes[served.req.class_index];
+      const ClassState& cls = classes[served.req.class_index];
       const Nanos total = eng.now() - served.req.enqueue_ns;
-      cls.account.record(worker.core.type, total, served.wait, cls.spec.slo_ns);
+      metrics.on_complete(worker.slot.index, served.req.class_index, total,
+                          served.wait);
       shard.stats.completed += 1;
-      if (telemetry) telemetry->on_complete(0, served.req.class_index, total);
       if (cls.spec.slo_ns > 0 &&
           DispatchPolicy::updates_window(worker.core.type)) {
         worker.controllers[served.req.class_index].on_epoch_end(
             total, cls.spec.slo_ns);
       }
       if (i + 1 == plan.cs_count()) {
-        if (telemetry) telemetry->on_lock_hold(0, eng.now() - acquired_at);
+        if (telemetry) {
+          metrics.on_lock_hold(worker.slot.index, eng.now() - acquired_at);
+        }
         shard.lock->release(&worker.sim);
       }
       if (i + 1 < plan.count()) {
@@ -333,15 +329,14 @@ struct SimKvService::Impl {
       report.telemetry = telemetry->log();
     }
     for (auto& shard : shards) flush_depth(*shard);
-    for (const ClassState& cs : classes) {
+    for (std::uint32_t c = 0; c < classes.size(); ++c) {
       // epoch_id -1: the twin does not touch the global EpochRegistry.
-      report.service.classes.push_back(
-          cs.account.report(cs.spec, -1, cs.accepted, cs.rejected, cs.shed));
+      report.service.classes.push_back(metrics.class_report(c, -1));
     }
     for (const auto& shard : shards) {
       report.shards.push_back(shard->stats);
     }
-    report.lock_routes = routes;
+    report.lock_routes = metrics.routes();
     report.allocs_charged = allocs_charged;
   }
 };

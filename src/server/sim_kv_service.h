@@ -13,18 +13,19 @@
 // server/serving.h: the config clamps, the worker-slot layout, shard
 // routing, the admission decision and shed depths, the batch plan (head,
 // extension to batch_k, the lock-free route split and its serving order),
-// the segment costs, the route counters and the per-class completion
-// account. Shared *rules*, executed on virtual time: the shard lock as the
-// simulated Bench-6 substrate (LockKind::kBlockingReorderable by default),
-// acquired through the production DispatchPolicy, with AIMD feedback from
-// per-(worker, class) WindowControllers fed each member's virtual
-// end-to-end latency at the end of its own segment; the drain-on-stop
-// invariant (completed == accepted). Elided: the engine's data structures
-// (no keys are stored; service cost is the resolved CostProfile under the
-// machine model's big/little slowdowns, DESIGN.md §7), the EpochRegistry,
-// OS scheduling of generator threads (arrivals fire exactly on schedule),
-// and worker wake ordering (the lowest-index idle worker of a shard serves
-// next; the real pop order is OS-dependent).
+// the segment costs, and the accounting store (ServiceMetrics: one slot per
+// worker, folded into the report). Shared *rules*, executed on virtual time:
+// the shard lock as the simulated Bench-6 substrate
+// (LockKind::kBlockingReorderable by default), acquired through the
+// production DispatchPolicy, with AIMD feedback from per-(worker, class)
+// WindowControllers fed each member's virtual end-to-end latency at the end
+// of its own segment; the drain-on-stop invariant (completed == accepted).
+// Elided: the engine's data structures (no keys are stored; service cost is
+// the resolved CostProfile under the machine model's big/little slowdowns,
+// DESIGN.md §7), the EpochRegistry, OS scheduling of generator threads
+// (arrivals fire exactly on schedule), and worker wake ordering (the
+// lowest-index idle worker of a shard serves next; the real pop order is
+// OS-dependent).
 #pragma once
 
 #include <cstdint>

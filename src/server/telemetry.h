@@ -1,19 +1,17 @@
 // KvTelemetry — the service-side telemetry bundle (DESIGN.md §11): one
-// metrics registry + one time-series log + one span tracer, wired to the
-// KV service's schema.
+// time-series log + one span tracer, wired to the KV service's schema and
+// sampling the service's ServiceMetrics (server/serving.h).
 //
 // Split of responsibilities with the service:
-//   * the *hot path* calls on_complete / on_lock_wait / on_lock_hold —
-//     each is one or two relaxed atomic RMWs into the registry's per-slot
-//     cells (wait-free, allocation-free; the telemetry-on kv_alloc_audit
-//     zero depends on it);
+//   * the *hot path* records into ServiceMetrics — the same cells report()
+//     folds — and, on a traced request, into tracer();
 //   * the *sampler* (a real thread on the real path, virtual-time tick
-//     events on the twin) fills tick_inputs() with a snapshot of the
-//     counters the service already owns (admission, queue depths, lock
-//     routes) and calls fold_tick, which sums the registry slots,
-//     computes windowed p99s from per-tick bucket deltas, and appends one
-//     point per series. All fold scratch is preallocated here, so a tick
-//     never allocates either.
+//     events on the twin) fills shard_depth() with the executor's queue
+//     depths and calls fold_tick, which reads the ServiceMetrics cells
+//     (admission, completions, routes, lock timing), computes windowed
+//     p99s from per-tick bucket deltas, and appends one point per series.
+//     All fold scratch is preallocated here, so a tick never allocates,
+//     and the final tick reads the cells the final report() reads.
 //
 // Series schema (canonical order, identical on the real path and the twin
 // so the twin's virtual-time CSV is goldenable against this layout):
@@ -40,70 +38,41 @@
 
 namespace asl::server {
 
-// One sampler fold's view of the counters the *service* owns (the registry
-// covers only what workers record directly). KvTelemetry preallocates one
-// (vectors sized to the config's classes and shards); the service fills it
-// in place before each fold_tick, so a tick never allocates.
-struct TelemetryTickInputs {
-  std::vector<std::uint64_t> class_accepted;  // [num_classes]
-  std::vector<std::uint64_t> class_shed;      // [num_classes]
-  std::vector<std::uint64_t> shard_depth;     // [num_shards]
-  LockRouteStats routes;
-};
-
 class KvTelemetry {
  public:
-  // Builds and freezes the whole pipeline for `config` (post-clamping, so
-  // classes is non-empty) with `num_slots` writer identities. Every
-  // allocation the telemetry layer will ever make happens here.
-  KvTelemetry(const KvServiceConfig& config, std::uint32_t num_slots);
+  // Builds the whole pipeline for `config` (post-clamping, so classes is
+  // non-empty) over `metrics`, which must outlive it; the span tracer gets
+  // one ring per metric slot. Every allocation the telemetry layer will
+  // ever make happens here.
+  KvTelemetry(const KvServiceConfig& config, const ServiceMetrics& metrics);
   KvTelemetry(const KvTelemetry&) = delete;
   KvTelemetry& operator=(const KvTelemetry&) = delete;
 
-  // --- hot path (worker threads; wait-free, allocation-free) -------------
-  void on_complete(std::uint32_t slot, std::uint32_t class_index,
-                   Nanos latency_ns) {
-    registry_.add(class_completed_[class_index], slot, 1);
-    registry_.observe(class_latency_[class_index], slot,
-                      static_cast<std::uint64_t>(latency_ns));
-  }
-  void on_lock_wait(std::uint32_t slot, Nanos wait_ns) {
-    registry_.observe(lock_wait_, slot, static_cast<std::uint64_t>(wait_ns));
-  }
-  void on_lock_hold(std::uint32_t slot, Nanos hold_ns) {
-    registry_.observe(lock_hold_, slot, static_cast<std::uint64_t>(hold_ns));
-  }
-
-  // --- sampler side ------------------------------------------------------
-  // The inputs the next fold_tick reads; the service fills them first.
-  TelemetryTickInputs& tick_inputs() { return tick_; }
+  // The queue depths the next fold_tick reads ([num_shards], preallocated);
+  // the executor fills them first.
+  std::vector<std::uint64_t>& shard_depth() { return shard_depth_; }
   // Appends one point to every series at time `t` (ns on the telemetry time
   // axis — wall-clock-since-start() on the real path, virtual time on the
-  // twin) from tick_inputs() and the registry. Single-threaded by contract:
-  // the real Sampler serializes its ticks, the twin is single-threaded by
-  // construction.
+  // twin) from shard_depth() and the metric cells. Single-threaded by
+  // contract: the real Sampler serializes its ticks, the twin is
+  // single-threaded by construction.
   void fold_tick(Nanos t);
 
   std::uint64_t ticks() const { return ticks_; }
   const obs::TimeSeriesLog& log() const { return log_; }
   const obs::SpanTracer& tracer() const { return tracer_; }
   obs::SpanTracer& tracer() { return tracer_; }
-  const obs::MetricsRegistry& registry() const { return registry_; }
 
  private:
   // p99 over one tick's worth of a histogram metric: fold the registry's
   // buckets, diff against the previous tick's fold, quantile the delta.
-  std::uint64_t windowed_p99(std::size_t hist_index, obs::MetricId id);
+  // `*count` receives the fold's cumulative observation count.
+  std::uint64_t windowed_p99(std::size_t hist_index, obs::MetricId id,
+                             std::uint64_t* count);
 
-  obs::MetricsRegistry registry_;
+  const ServiceMetrics& metrics_;
   obs::TimeSeriesLog log_;
   obs::SpanTracer tracer_;
-
-  // Registry metric ids (what workers record).
-  std::vector<obs::MetricId> class_completed_;  // counter per class
-  std::vector<obs::MetricId> class_latency_;    // histogram per class
-  obs::MetricId lock_wait_ = 0;                 // histogram
-  obs::MetricId lock_hold_ = 0;                 // histogram
 
   // Series ids, in schema order.
   std::vector<obs::TimeSeriesLog::SeriesId> s_class_accepted_;
@@ -122,7 +91,7 @@ class KvTelemetry {
   std::vector<std::uint64_t> cur_;
   std::vector<std::uint64_t> delta_;
   std::vector<std::uint64_t> prev_;
-  TelemetryTickInputs tick_;
+  std::vector<std::uint64_t> shard_depth_;
   std::uint64_t ticks_ = 0;
 };
 

@@ -73,13 +73,18 @@ std::uint64_t Histogram::value_at_quantile(double q) const {
 }
 
 void Histogram::merge(const Histogram& other) {
+  merge_cells(other.buckets_.data(), other.sum_, other.min_, other.max_);
+}
+
+void Histogram::merge_cells(const std::uint64_t* buckets, std::uint64_t sum,
+                            std::uint64_t min, std::uint64_t max) {
   for (std::uint32_t i = 0; i < kNumBuckets; ++i) {
-    buckets_[i] += other.buckets_[i];
+    buckets_[i] += buckets[i];
+    total_ += buckets[i];
   }
-  total_ += other.total_;
-  sum_ += other.sum_;
-  max_ = std::max(max_, other.max_);
-  min_ = std::min(min_, other.min_);
+  sum_ += sum;
+  max_ = std::max(max_, max);
+  min_ = std::min(min_, min);
 }
 
 void Histogram::reset() {

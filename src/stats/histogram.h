@@ -55,6 +55,7 @@ class Histogram {
   std::uint64_t p999() const { return value_at_quantile(0.999); }
 
   std::uint64_t count() const { return total_; }
+  std::uint64_t sum() const { return sum_; }
   std::uint64_t max() const { return max_; }
   std::uint64_t min() const { return total_ == 0 ? 0 : min_; }
   double mean() const {
@@ -67,6 +68,12 @@ class Histogram {
   // max are identical to recording both observation streams into a single
   // histogram (asserted against that oracle in stats_test).
   void merge(const Histogram& other);
+
+  // merge() from cells kept in this layout elsewhere (an
+  // obs::MetricsRegistry slot): kNumBuckets counts, whose sum is the count
+  // merged, and their sum, min and max (~0 and 0 when empty).
+  void merge_cells(const std::uint64_t* buckets, std::uint64_t sum,
+                   std::uint64_t min, std::uint64_t max);
 
   void reset();
 

@@ -16,6 +16,12 @@ class LatencySplit {
     (type == CoreType::kBig ? big_ : little_).record(latency_ns);
   }
 
+  // Merges `h`, recorded on `type` cores, as record() would have.
+  void merge(CoreType type, const Histogram& h) {
+    overall_.merge(h);
+    (type == CoreType::kBig ? big_ : little_).merge(h);
+  }
+
   void merge(const LatencySplit& other) {
     overall_.merge(other.overall_);
     big_.merge(other.big_);

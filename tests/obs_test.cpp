@@ -66,13 +66,29 @@ TEST(MetricsRegistry, MetricsOfTheSameKindDoNotAlias) {
   EXPECT_EQ(reg.fold_buckets(h2, buckets.data()), 0u);
 }
 
+// The folded histogram must be the oracle in full, not just its buckets.
+void expect_same_histogram(const Histogram& got, const Histogram& want,
+                           const char* what) {
+  EXPECT_EQ(got.count(), want.count()) << what;
+  EXPECT_EQ(got.sum(), want.sum()) << what;
+  EXPECT_EQ(got.min(), want.min()) << what;
+  EXPECT_EQ(got.max(), want.max()) << what;
+  EXPECT_EQ(got.mean(), want.mean()) << what;
+  EXPECT_EQ(got.p50(), want.p50()) << what;
+  EXPECT_EQ(got.p99(), want.p99()) << what;
+  EXPECT_EQ(got.p999(), want.p999()) << what;
+}
+
 TEST(MetricsRegistry, HistogramFoldMatchesSingleHistogramOracle) {
   MetricsRegistry reg(4);
   const MetricId h = reg.histogram("lat");
+  const MetricId unused = reg.histogram("never-observed");
   reg.freeze();
   // The same observations recorded into one plain Histogram must land in
-  // the same buckets the registry's per-slot cells fold into.
+  // the same buckets the registry's per-slot cells fold into; `even` is the
+  // oracle of slots {0, 2} alone — a big/little split is such a subset.
   Histogram oracle;
+  Histogram even;
   std::vector<std::uint64_t> expected(Histogram::kNumBuckets, 0);
   std::uint64_t max_seen = 0;
   std::uint64_t v = 1;
@@ -80,6 +96,7 @@ TEST(MetricsRegistry, HistogramFoldMatchesSingleHistogramOracle) {
     for (int i = 0; i < 200; ++i) {
       reg.observe(h, slot, v);
       oracle.record(v);
+      if (slot % 2 == 0) even.record(v);
       expected[Histogram::bucket_index(v)] += 1;
       max_seen = std::max(max_seen, v);
       v = v * 3 + slot + 1;
@@ -99,6 +116,18 @@ TEST(MetricsRegistry, HistogramFoldMatchesSingleHistogramOracle) {
                        max_seen),
               oracle.value_at_quantile(q));
   }
+
+  Histogram all;
+  Histogram subset;
+  Histogram empty;
+  for (std::uint32_t slot = 0; slot < 4; ++slot) {
+    reg.merge_slot(h, slot, all);
+    if (slot % 2 == 0) reg.merge_slot(h, slot, subset);
+    reg.merge_slot(unused, slot, empty);
+  }
+  expect_same_histogram(all, oracle, "every slot");
+  expect_same_histogram(subset, even, "slots {0, 2}");
+  expect_same_histogram(empty, Histogram{}, "no observations");
 }
 
 TEST(MetricsRegistry, ConcurrentWritersFoldExactly) {

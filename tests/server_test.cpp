@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <set>
 #include <sstream>
 #include <string>
@@ -441,6 +442,81 @@ TEST(ServiceEngines, LockRouteCountersSplitByEngineCapability) {
   }
 }
 
+TEST(ServiceAccounting, ConcurrentSnapshotsAreMonotoneAndConsistent) {
+  // report() and lock_route_stats() fold the workers' metric slots while
+  // they are written (DESIGN.md §11): a snapshot is consistent per cell,
+  // not per class, yet every snapshot must keep the contracts readers
+  // subtract on. completed and the route counters never decrease, slo_met
+  // never exceeds completed, and the big/little split always sums to the
+  // overall count, which is completed. completed <= accepted is NOT a
+  // mid-run contract: try_submit counts an admission after the push, so a
+  // worker can finish a request first. After stop() the counts are exact.
+  for (const std::string& engine : {std::string("hash"), std::string("mvcc")}) {
+    KvServiceConfig cfg;
+    cfg.num_shards = 1;
+    cfg.workers_per_shard = 3;  // 2 big + 1 little
+    cfg.queue_capacity = 64;
+    cfg.engine = engine;
+    cfg.prefill_keys = 64;
+    cfg.classes.push_back(RequestClass{"snap-get", 2 * kNanosPerMilli});
+    cfg.classes.push_back(RequestClass{"snap-put", 20 * kNanosPerMicro});
+    KvService service(cfg);
+    service.start();
+
+    std::atomic<bool> done{false};
+    std::uint64_t snapshots = 0;
+    std::uint64_t violations = 0;
+    std::thread reader([&] {
+      std::uint64_t last_completed[2] = {0, 0};
+      LockRouteStats last{};
+      while (!done.load(std::memory_order_relaxed)) {
+        const ServiceReport report = service.report();
+        const LockRouteStats routes = service.lock_route_stats();
+        for (std::size_t c = 0; c < 2; ++c) {
+          const ClassReport& r = report.classes[c];
+          violations += r.completed < last_completed[c];
+          violations += r.slo_met > r.completed;
+          violations += r.total.big().count() + r.total.little().count() !=
+                        r.total.overall().count();
+          violations += r.total.overall().count() != r.completed;
+          last_completed[c] = r.completed;
+        }
+        violations += routes.get_route_acquires < last.get_route_acquires;
+        violations += routes.put_route_acquires < last.put_route_acquires;
+        violations += routes.cs_gets < last.cs_gets;
+        violations += routes.lockfree_gets < last.lockfree_gets;
+        last = routes;
+        snapshots += 1;
+      }
+    });
+
+    std::uint64_t accepted[2] = {0, 0};
+    Rng rng(5);
+    for (std::uint64_t i = 0; i < 6000; ++i) {
+      const std::uint32_t c = i % 3 == 0 ? 1 : 0;
+      const OpType op = c == 1 ? OpType::kPut : OpType::kGet;
+      while (!service.try_submit(op, rng.below(64), c)) {
+        std::this_thread::yield();
+      }
+      accepted[c] += 1;
+    }
+    service.stop();
+    done.store(true, std::memory_order_relaxed);
+    reader.join();
+
+    EXPECT_GT(snapshots, 1u) << engine;
+    EXPECT_EQ(violations, 0u) << engine;
+    const ServiceReport report = service.report();
+    const LockRouteStats routes = service.lock_route_stats();
+    for (std::size_t c = 0; c < 2; ++c) {
+      EXPECT_EQ(report.classes[c].accepted, accepted[c]) << engine;
+      EXPECT_EQ(report.classes[c].completed, accepted[c]) << engine;
+      EXPECT_LE(report.classes[c].slo_met, report.classes[c].completed);
+    }
+    EXPECT_EQ(routes.cs_gets + routes.lockfree_gets, accepted[0]) << engine;
+  }
+}
+
 TEST(ServiceLifecycle, StopBeforeStartThenLateTrafficIsRejected) {
   // stop() before start(): queued work drains inline, the service closes,
   // and everything submitted afterwards is a counted rejection — the
@@ -534,8 +610,9 @@ TEST(ServiceLifecycle, ConcurrentStartAndStopCompose) {
 
 namespace {
 
-KvServiceConfig telemetry_test_config() {
+KvServiceConfig telemetry_test_config(const std::string& engine = "hash") {
   KvServiceConfig cfg;
+  cfg.engine = engine;
   cfg.num_shards = 2;
   cfg.workers_per_shard = 1;
   cfg.queue_capacity = 64;
@@ -568,29 +645,44 @@ TEST(TelemetryLifecycle, FinalTickSeesZeroDepthAfterDrain) {
   // The sampler's final tick fires after stop() joins the workers, so the
   // last sample of every series must observe the drained service: queue
   // depths at zero and the cumulative counters at their report values —
-  // never a mid-drain snapshot.
-  KvService service(telemetry_test_config());
-  service.start();
-  std::uint64_t accepted = 0;
-  Rng rng(11);
-  for (std::uint64_t i = 0; i < 2000; ++i) {
-    const OpType op = (i % 4 == 0) ? OpType::kPut : OpType::kGet;
-    while (!service.try_submit(op, rng.below(64), 0)) {
-      std::this_thread::yield();
+  // never a mid-drain snapshot. The tick and the report fold the same
+  // metric slots, so the route series agree with lock_route_stats()
+  // exactly, on a locked engine and on the lock-free get route alike.
+  for (const std::string& engine : {std::string("hash"), std::string("mvcc")}) {
+    KvService service(telemetry_test_config(engine));
+    service.start();
+    std::uint64_t accepted = 0;
+    Rng rng(11);
+    for (std::uint64_t i = 0; i < 2000; ++i) {
+      const OpType op = (i % 4 == 0) ? OpType::kPut : OpType::kGet;
+      while (!service.try_submit(op, rng.below(64), 0)) {
+        std::this_thread::yield();
+      }
+      accepted += 1;
     }
-    accepted += 1;
-  }
-  service.stop();
+    service.stop();
 
-  const KvTelemetry* telem = service.telemetry();
-  ASSERT_NE(telem, nullptr);
-  EXPECT_GE(telem->ticks(), 1u);
-  const ServiceReport report = service.report();
-  EXPECT_EQ(report.classes[0].completed, accepted);
-  EXPECT_EQ(series_last(telem, "class.telemetry-test.accepted"), accepted);
-  EXPECT_EQ(series_last(telem, "class.telemetry-test.completed"), accepted);
-  EXPECT_EQ(series_last(telem, "shard.0.depth"), 0u);
-  EXPECT_EQ(series_last(telem, "shard.1.depth"), 0u);
+    const KvTelemetry* telem = service.telemetry();
+    ASSERT_NE(telem, nullptr) << engine;
+    EXPECT_GE(telem->ticks(), 1u) << engine;
+    const ServiceReport report = service.report();
+    EXPECT_EQ(report.classes[0].completed, accepted) << engine;
+    EXPECT_EQ(series_last(telem, "class.telemetry-test.accepted"), accepted)
+        << engine;
+    EXPECT_EQ(series_last(telem, "class.telemetry-test.completed"), accepted)
+        << engine;
+    EXPECT_EQ(series_last(telem, "shard.0.depth"), 0u) << engine;
+    EXPECT_EQ(series_last(telem, "shard.1.depth"), 0u) << engine;
+    const LockRouteStats routes = service.lock_route_stats();
+    EXPECT_EQ(series_last(telem, "lock.acquires"),
+              routes.get_route_acquires + routes.put_route_acquires)
+        << engine;
+    EXPECT_EQ(series_last(telem, "routes.lockfree_gets"), routes.lockfree_gets)
+        << engine;
+    if (engine == "mvcc") {
+      EXPECT_GT(routes.lockfree_gets, 0u) << "mvcc gets run off-lock";
+    }
+  }
 }
 
 TEST(TelemetryLifecycle, StopWithoutStartStillSamplesFinalTick) {
@@ -842,6 +934,12 @@ Request head_request(OpType op) {
   return head;
 }
 
+// The accounting store of a default service; plan checks record on slot 0.
+ServiceMetrics default_service_metrics() {
+  const KvServiceConfig cfg = normalized_config(KvServiceConfig{});
+  return ServiceMetrics(cfg, worker_slots(cfg));
+}
+
 TEST(BatchPlanTest, LockedProfileKeepsPopOrder) {
   const db::CostProfile cost = db::default_cost_profile("hash");
   ASSERT_FALSE(cost.get_lock_free);
@@ -878,9 +976,10 @@ TEST(BatchPlanTest, LockFreeGetHeadRunsAloneWithoutTheLock) {
   EXPECT_FALSE(seg.on_lock);
   EXPECT_EQ(seg.op, OpType::kGet);
   EXPECT_EQ(seg.nops, cost.get.cs_nops);
-  LockRouteStats routes;
-  count_acquisition(routes, plan);
-  count_segment(routes, seg);
+  ServiceMetrics metrics = default_service_metrics();
+  metrics.on_acquisition(0, plan);
+  metrics.on_segment(0, seg);
+  const LockRouteStats routes = metrics.routes();
   EXPECT_EQ(routes.get_route_acquires + routes.put_route_acquires, 0u);
   EXPECT_EQ(routes.lockfree_gets, 1u);
 }
@@ -897,14 +996,15 @@ TEST(BatchPlanTest, LockFreePutHeadServesPutsThenGetsInPopOrder) {
   EXPECT_EQ(plan.cs_count(), 3u);  // the head and the two popped puts
   EXPECT_EQ(serving_keys(plan),
             (std::vector<std::uint64_t>{0, 2, 4, 1, 3, 5}));
-  LockRouteStats routes;
-  count_acquisition(routes, plan);
+  ServiceMetrics metrics = default_service_metrics();
+  metrics.on_acquisition(0, plan);
   for (std::size_t i = 0; i < plan.count(); ++i) {
     const Segment seg = plan.segment(i);
     EXPECT_EQ(seg.on_lock, i < 3) << i;
     EXPECT_EQ(seg.op, i < 3 ? OpType::kPut : OpType::kGet) << i;
-    count_segment(routes, seg);
+    metrics.on_segment(0, seg);
   }
+  const LockRouteStats routes = metrics.routes();
   EXPECT_EQ(routes.put_route_acquires, 1u);
   EXPECT_EQ(routes.get_route_acquires, 0u);
   EXPECT_EQ(routes.cs_gets, 0u);
