@@ -1,12 +1,8 @@
-// Single entry point for every figure bench. Per-figure binaries are this
-// same file compiled with ASL_DEFAULT_SCENARIO set (see CMakeLists.txt);
-// asl_figures carries no default and can run any registered scenario.
+// The scenario driver's entry point. CMakeLists.txt links it twice: into
+// asl_figures with every scenario but the allocation audit, and into
+// kv_alloc_audit with the audit alone.
 #include "harness/scenario.h"
 
-#ifndef ASL_DEFAULT_SCENARIO
-#define ASL_DEFAULT_SCENARIO nullptr
-#endif
-
 int main(int argc, char** argv) {
-  return asl::bench::scenario_main(argc, argv, ASL_DEFAULT_SCENARIO);
+  return asl::bench::scenario_main(argc, argv);
 }

@@ -12,8 +12,10 @@
 // traffic. One surviving `new` per request fails the bench, which fails CI.
 //
 // The counter is the asl_alloc interposer (asl/alloc_count.h), linked into
-// every figure binary; the submit loop below is itself allocation-free
-// (try_submit + yield), so the whole process quiesces to zero.
+// this scenario's own driver binary, kv_alloc_audit, and into no other
+// scenario: no other scenario's thread and heap churn shares the process.
+// The submit loop below is itself allocation-free (try_submit + yield), so
+// the whole process quiesces to zero.
 #include <chrono>
 #include <string>
 #include <thread>
@@ -185,10 +187,7 @@ void run_alloc_audit(ScenarioContext& ctx) {
 }  // namespace
 }  // namespace asl::bench
 
-// Explicit-only: the audit counts every allocation in the process, so it
-// must run in a quiet binary (its own CI step), not after dozens of other
-// scenarios' thread and heap churn under --all.
-ASL_SCENARIO_EXPLICIT(kv_alloc_audit,
-                      "zero-allocation audit of the real request hot path") {
+ASL_SCENARIO(kv_alloc_audit,
+             "zero-allocation audit of the real request hot path") {
   asl::bench::run_alloc_audit(ctx);
 }

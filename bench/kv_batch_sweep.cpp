@@ -46,17 +46,6 @@ KvScenario sweep_scenario(std::uint32_t batch_k, bool shed,
   return sc;
 }
 
-// Sustained absorbed rate: completions per second of *arrival window*. The
-// horizon, not drained_at, is the denominator — at fixed offered load the
-// service that completes more of it has the higher throughput, and the
-// post-horizon drain tail (one final large batch chewing on a little core
-// while the big core idles) does not punish the very batching that created
-// it.
-std::uint64_t tput_per_sec(const SimServiceReport& r) {
-  return r.horizon == 0 ? 0
-                        : r.total_completed() * kNanosPerSec / r.horizon;
-}
-
 void run_batch_sweep_twin(ScenarioContext& ctx) {
   const Nanos horizon = 20 * kNanosPerMilli;
   // 8x the nominal rate: comfortably past saturation for the heavy-cost

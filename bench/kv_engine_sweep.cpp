@@ -124,11 +124,6 @@ KvScenario sweep_scenario(const std::string& engine, const Mix& mix,
   return sc;
 }
 
-std::uint64_t tput_per_sec(const SimServiceReport& r) {
-  return r.horizon == 0 ? 0
-                        : r.total_completed() * kNanosPerSec / r.horizon;
-}
-
 // Whole-service capacity of `engine` under `mix` (twin probe, 10 ms
 // trials): the max offered rate of the whole mix meeting every class SLO.
 CapacityResult engine_capacity(const std::string& engine, const Mix& mix) {

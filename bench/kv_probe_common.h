@@ -1,9 +1,10 @@
 // Shared helpers for the KV service benches (kv_capacity, kv_batch_sweep,
 // kv_engine_sweep, kv_scenarios): rate-scaled scenario construction, the
-// per-class capacity search over a deterministic twin oracle (memoized per
-// trial rate), and the per-class measured-report tables both the real and
-// engine-sweep benches print. Lives beside the benches rather than in
-// bench_common.h so the pure figure benches never pull in the server layer.
+// twin's absorbed-throughput rule, the per-class capacity search over a
+// deterministic twin oracle (memoized per trial rate), and the per-class
+// measured-report tables both the real and engine-sweep benches print. Lives
+// beside the benches rather than in bench_common.h so the pure figure benches
+// never pull in the server layer.
 #pragma once
 
 #include <cstddef>
@@ -28,6 +29,17 @@ inline server::KvScenario at_rate(const server::KvScenario& base,
   server::scale_load_rates(
       sc.load, rate / server::nominal_rate_per_sec(base.load));
   return sc;
+}
+
+// Sustained absorbed rate of a twin run: completions per second of *arrival
+// window*. The horizon, not drained_at, is the denominator — at fixed
+// offered load the service that completes more of it has the higher
+// throughput, and the post-horizon drain tail (one final large batch chewing
+// on a little core while the big core idles) does not punish the very
+// batching that created it.
+inline std::uint64_t tput_per_sec(const server::SimServiceReport& r) {
+  return r.horizon == 0 ? 0
+                        : r.total_completed() * kNanosPerSec / r.horizon;
 }
 
 // The probe configuration the twin searches share: start at the scenario's

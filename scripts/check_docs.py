@@ -10,10 +10,9 @@ Fails (exit 1) when README.md or DESIGN.md:
     registry in src/db/engine.cpp does not register.
 
 The valid-name sets are parsed straight from the sources — ASL_SCENARIO
-registrations in bench/*.cpp, asl_add_figure/add_executable targets in
-CMakeLists.txt, the scenario-config string literals in
-src/server/scenarios.cpp, and the kEngineRegistry rows in
-src/db/engine.cpp — so the check needs no build and cannot drift from the
+registrations in bench/*.cpp, add_executable targets in CMakeLists.txt,
+the scenario-config string literals in src/server/scenarios.cpp, and the
+kEngineRegistry rows in src/db/engine.cpp — so the check needs no build and cannot drift from the
 registries it guards. Stdlib only; run from anywhere:
 
     python3 scripts/check_docs.py
@@ -59,9 +58,8 @@ def known_names() -> set:
     names = set()
     for bench in (ROOT / "bench").glob("*.cpp"):
         names |= set(
-            re.findall(r"ASL_SCENARIO(?:_EXPLICIT)?\(\s*(\w+)", bench.read_text()))
+            re.findall(r"ASL_SCENARIO\(\s*(\w+)", bench.read_text()))
     cmake = (ROOT / "CMakeLists.txt").read_text()
-    names |= set(re.findall(r"asl_add_figure\((\w+)", cmake))
     names |= set(re.findall(r"add_executable\((\w+)", cmake))
     scenarios = (ROOT / "src/server/scenarios.cpp").read_text()
     names |= set(re.findall(r'"(kv_\w+)"', scenarios))

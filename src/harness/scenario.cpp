@@ -80,12 +80,12 @@ std::vector<const Scenario*> ScenarioRegistry::list() const {
 }
 
 ScenarioRegistrar::ScenarioRegistrar(std::string name, std::string title,
-                                     ScenarioFn fn, bool explicit_only) {
-  ScenarioRegistry::instance().add(Scenario{std::move(name), std::move(title),
-                                            std::move(fn), explicit_only});
+                                     ScenarioFn fn) {
+  ScenarioRegistry::instance().add(
+      Scenario{std::move(name), std::move(title), std::move(fn)});
 }
 
-int scenario_main(int argc, char** argv, const char* default_scenario) {
+int scenario_main(int argc, char** argv) {
   double time_scale = env_time_scale();
   std::string csv_path;
   bool list_only = false;
@@ -107,8 +107,6 @@ int scenario_main(int argc, char** argv, const char* default_scenario) {
       if (v > 0) time_scale = v;
     } else if (arg.rfind("--csv=", 0) == 0) {
       csv_path = value_of("--csv=");
-    } else if (arg.rfind("--scenario=", 0) == 0) {
-      names.push_back(value_of("--scenario="));
     } else if (arg.rfind("--engine=", 0) == 0) {
       options["engine"] = value_of("--engine=");
     } else if (arg.rfind("--mix=", 0) == 0) {
@@ -139,17 +137,11 @@ int scenario_main(int argc, char** argv, const char* default_scenario) {
   ScenarioRegistry& registry = ScenarioRegistry::instance();
   if (run_all) {
     names.clear();
-    for (const Scenario* s : registry.list()) {
-      if (!s->explicit_only) names.push_back(s->name);
-    }
-  }
-  if (names.empty() && default_scenario != nullptr) {
-    names.emplace_back(default_scenario);
+    for (const Scenario* s : registry.list()) names.push_back(s->name);
   }
   if (list_only || names.empty()) {
     for (const Scenario* s : registry.list()) {
-      std::cout << s->name << "  —  " << s->title
-                << (s->explicit_only ? "  [explicit-only]" : "") << "\n";
+      std::cout << s->name << "  —  " << s->title << "\n";
     }
     return list_only || !registry.list().empty() ? 0 : 1;
   }

@@ -2,12 +2,11 @@
 //
 // Every figure reproduction registers a named scenario (ASL_SCENARIO) and
 // the per-bench main() boilerplate lives once in scenario_main(): shared CLI
-// (--list, --scenario selection, --time-scale, --csv), the SIM_TIME_SCALE
-// environment knob, uniform banners/shape-check accounting, and
-// machine-readable CSV output alongside the human tables. Figure binaries
-// are generated from one driver (bench/figures_main.cpp) compiled against
-// the scenario objects — the setbench-style "one target graph, many
-// executables" layout (DESIGN.md §1).
+// (--list, scenario selection by name, --time-scale, --csv), the
+// SIM_TIME_SCALE environment knob, uniform banners/shape-check accounting,
+// and machine-readable CSV output alongside the human tables. A driver binary
+// is bench/figures_main.cpp linked with the scenarios it carries (DESIGN.md
+// §1).
 #pragma once
 
 #include <functional>
@@ -70,11 +69,6 @@ struct Scenario {
   std::string name;   // CLI name, e.g. "fig01_collapse"
   std::string title;  // one-line description for --list
   ScenarioFn run;
-  // Run only when named on the command line, never under --all. For
-  // scenarios whose assertions need a quiet process (kv_alloc_audit counts
-  // every heap allocation process-wide; dozens of preceding scenarios'
-  // thread churn would show up in its steady-state window).
-  bool explicit_only = false;
 };
 
 class ScenarioRegistry {
@@ -91,8 +85,7 @@ class ScenarioRegistry {
 };
 
 struct ScenarioRegistrar {
-  ScenarioRegistrar(std::string name, std::string title, ScenarioFn fn,
-                    bool explicit_only = false);
+  ScenarioRegistrar(std::string name, std::string title, ScenarioFn fn);
 };
 
 // Registers `void` scenario body: ASL_SCENARIO(fig01_collapse, "...") { ... }
@@ -106,24 +99,11 @@ struct ScenarioRegistrar {
   static void asl_scenario_body_##scenario_name(                             \
       ::asl::bench::ScenarioContext& ctx)
 
-// Like ASL_SCENARIO, but the scenario runs only when named explicitly —
-// `--all` skips it (and `--list` marks it). See Scenario::explicit_only.
-#define ASL_SCENARIO_EXPLICIT(scenario_name, scenario_title)                 \
-  static void asl_scenario_body_##scenario_name(                             \
-      ::asl::bench::ScenarioContext& ctx);                                   \
-  static const ::asl::bench::ScenarioRegistrar                               \
-      asl_scenario_reg_##scenario_name{#scenario_name, scenario_title,       \
-                                       asl_scenario_body_##scenario_name,    \
-                                       /*explicit_only=*/true};              \
-  static void asl_scenario_body_##scenario_name(                             \
-      ::asl::bench::ScenarioContext& ctx)
-
 // The shared driver. CLI:
 //   --list                 print registered scenarios and exit
 //   --time-scale=<f>       override SIM_TIME_SCALE
 //   --csv=<path>           write every emitted table as CSV to <path>
-//   --all                  run every registered scenario (except the
-//                          explicit-only ones, see ASL_SCENARIO_EXPLICIT)
+//   --all                  run every scenario linked into this binary
 //   --engine=<name>        filter option for engine-matrix scenarios
 //                          (kv_engine_sweep: run one registry engine)
 //   --mix=<name|r:w>       filter option for mix-matrix scenarios (a mix
@@ -138,9 +118,8 @@ struct ScenarioRegistrar {
 //   --spans=<path>         Chrome-trace JSON output for span-tracing
 //                          scenarios (kv_telemetry writes it; load it in
 //                          Perfetto / chrome://tracing)
-//   <name>...              scenarios to run (default: `default_scenario`,
-//                          or --list behaviour when none is configured)
+//   <name>...              scenarios to run (none: --list behaviour)
 // Exit code 0 iff every shape check of every scenario passed.
-int scenario_main(int argc, char** argv, const char* default_scenario);
+int scenario_main(int argc, char** argv);
 
 }  // namespace asl::bench

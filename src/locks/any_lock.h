@@ -1,5 +1,5 @@
-// Type-erased Lockable, used where the lock implementation must be chosen at
-// runtime (pthread interposition shim, harness lock-name dispatch).
+// Type-erased Lockable, for choosing the lock implementation at runtime: it
+// lets property_test run one property body over every lock type.
 #pragma once
 
 #include <memory>

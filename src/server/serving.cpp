@@ -92,9 +92,11 @@ ServiceMetrics::ServiceMetrics(const KvServiceConfig& config,
       get_acquires_(registry_.counter("routes.get_route_acquires")),
       put_acquires_(registry_.counter("routes.put_route_acquires")),
       cs_gets_(registry_.counter("routes.cs_gets")),
-      lockfree_gets_(registry_.counter("routes.lockfree_gets")),
-      lock_wait_(registry_.histogram("lock.wait_ns")),
-      lock_hold_(registry_.histogram("lock.hold_ns")) {
+      lockfree_gets_(registry_.counter("routes.lockfree_gets")) {
+  if (config.telemetry.enabled) {
+    lock_wait_ = registry_.histogram("lock.wait_ns");
+    lock_hold_ = registry_.histogram("lock.hold_ns");
+  }
   for (const WorkerSlot& slot : slots) slot_types_.push_back(slot.type);
   for (const RequestClass& spec : config.classes) {
     const std::string prefix = "class." + spec.name;

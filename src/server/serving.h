@@ -450,6 +450,7 @@ class ServiceMetrics {
       registry_.add(cs_gets_, slot, 1);
     }
   }
+  // Lock timing: telemetry on only (see lock_wait_).
   void on_lock_wait(std::uint32_t slot, Nanos wait_ns) {
     registry_.observe(lock_wait_, slot, wait_ns);
   }
@@ -494,7 +495,9 @@ class ServiceMetrics {
   std::vector<ClassMetrics> classes_;
   std::vector<Admission> admission_;
   obs::MetricId get_acquires_, put_acquires_, cs_gets_, lockfree_gets_;
-  obs::MetricId lock_wait_, lock_hold_;
+  // Registered with telemetry on only: lock timing is measured, recorded
+  // and read by the telemetry paths alone.
+  obs::MetricId lock_wait_ = 0, lock_hold_ = 0;
 };
 
 }  // namespace asl::server

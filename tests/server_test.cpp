@@ -639,6 +639,21 @@ TEST(TelemetryLifecycle, DisabledConfigBuildsNoPipeline) {
   service.start();
   service.stop();
   EXPECT_EQ(service.telemetry(), nullptr);
+
+  // Nor any lock-timing cells: only telemetry records and reads them.
+  auto lock_metrics = [](const KvServiceConfig& c) {
+    const ServiceMetrics metrics(c, worker_slots(normalized_config(c)));
+    std::vector<std::string> names;
+    for (obs::MetricId id = 0; id < metrics.registry().size(); ++id) {
+      const std::string& name = metrics.registry().name(id);
+      if (name.rfind("lock.", 0) == 0) names.push_back(name);
+    }
+    return names;
+  };
+  EXPECT_TRUE(lock_metrics(cfg).empty());
+  cfg.telemetry.enabled = true;
+  EXPECT_EQ(lock_metrics(cfg),
+            (std::vector<std::string>{"lock.wait_ns", "lock.hold_ns"}));
 }
 
 TEST(TelemetryLifecycle, FinalTickSeesZeroDepthAfterDrain) {
@@ -682,6 +697,17 @@ TEST(TelemetryLifecycle, FinalTickSeesZeroDepthAfterDrain) {
     if (engine == "mvcc") {
       EXPECT_GT(routes.lockfree_gets, 0u) << "mvcc gets run off-lock";
     }
+    // The lock-timing rows: one point per tick, and the puts' holds show.
+    for (const char* row : {"lock.wait_p99_ns", "lock.hold_p99_ns"}) {
+      const TimeSeries* s = telem->log().find(row);
+      ASSERT_NE(s, nullptr) << engine << " " << row;
+      EXPECT_EQ(s->size(), telem->ticks()) << engine << " " << row;
+    }
+    std::uint64_t peak_hold = 0;
+    for (const auto& p : telem->log().find("lock.hold_p99_ns")->points()) {
+      peak_hold = std::max(peak_hold, p.v);
+    }
+    EXPECT_GT(peak_hold, 0u) << engine;
   }
 }
 

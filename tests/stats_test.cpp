@@ -1,6 +1,6 @@
 // Statistics substrate tests: histogram vs exact-percentile oracle
-// (parameterized over distributions), CDF, merge, streaming stats, time
-// series, table rendering.
+// (parameterized over distributions), CDF, merge, time series, table
+// rendering.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -10,7 +10,6 @@
 #include "platform/rng.h"
 #include "stats/histogram.h"
 #include "stats/percentile.h"
-#include "stats/streaming.h"
 #include "stats/table.h"
 #include "stats/timeseries.h"
 
@@ -279,42 +278,6 @@ TEST(ExactSample, EdgeContractMatchesHistogram) {
     EXPECT_EQ(one.value_at_quantile(q), 98765u);
     EXPECT_EQ(one.value_at_quantile(q), one_h.value_at_quantile(q));
   }
-}
-
-TEST(StreamingStats, Basics) {
-  StreamingStats s;
-  s.record(1);
-  s.record(3);
-  s.record(2);
-  EXPECT_EQ(s.count(), 3u);
-  EXPECT_DOUBLE_EQ(s.mean(), 2.0);
-  EXPECT_DOUBLE_EQ(s.min(), 1.0);
-  EXPECT_DOUBLE_EQ(s.max(), 3.0);
-}
-
-TEST(StreamingStats, MergeEquivalentToCombinedStream) {
-  StreamingStats a, b, all;
-  Rng rng(5);
-  for (int i = 0; i < 1000; ++i) {
-    const double v = rng.uniform() * 100;
-    (i % 2 == 0 ? a : b).record(v);
-    all.record(v);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-9);
-  EXPECT_DOUBLE_EQ(a.min(), all.min());
-  EXPECT_DOUBLE_EQ(a.max(), all.max());
-}
-
-TEST(StreamingStats, MergeWithEmpty) {
-  StreamingStats a, b;
-  a.record(5);
-  a.merge(b);
-  EXPECT_EQ(a.count(), 1u);
-  b.merge(a);
-  EXPECT_EQ(b.count(), 1u);
-  EXPECT_DOUBLE_EQ(b.mean(), 5.0);
 }
 
 TEST(TimeSeries, RecordsInOrder) {
